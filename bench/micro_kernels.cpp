@@ -120,6 +120,62 @@ void BM_PngEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_PngEncode)->Arg(256)->Arg(512);
 
+std::vector<std::byte> pseudo_random_bytes(std::int64_t n) {
+  std::vector<std::byte> data(static_cast<std::size_t>(n));
+  std::uint32_t x = 2463534242u;
+  for (auto& b : data) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::byte>(x);
+  }
+  return data;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const auto data = pseudo_random_bytes(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(render::png::crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 16)->Arg(1 << 23);
+
+void BM_Adler32(benchmark::State& state) {
+  const auto data = pseudo_random_bytes(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(render::png::adler32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Adler32)->Arg(1 << 16)->Arg(1 << 23);
+
+/// Axis-aligned slice through the middle of one 128x128x32 block, the
+/// Catalyst-slice extraction step; the argument is the slice axis.
+void BM_SliceAxis(benchmark::State& state) {
+  data::IndexBox box;
+  box.cells = {128, 128, 32};
+  auto img = std::make_shared<data::ImageData>(box, data::Vec3{},
+                                               data::Vec3{1, 1, 1});
+  auto values = data::DataArray::create<double>("s", img->num_points(), 1);
+  double* dst = values->component_base<double>(0);
+  for (std::int64_t i = 0; i < img->num_points(); ++i) {
+    const data::Vec3 p = img->point(i);
+    dst[i] = std::sin(0.1 * p.x) * std::cos(0.07 * p.y) + 0.05 * p.z;
+  }
+  img->point_fields().add(values);
+  const int axis = static_cast<int>(state.range(0));
+  const double value =
+      0.5 * static_cast<double>(box.cells[static_cast<std::size_t>(axis)]) +
+      0.25;
+  for (auto _ : state) {
+    auto mesh = analysis::slice_axis(*img, "s", axis, value);
+    benchmark::DoNotOptimize(mesh);
+  }
+  state.SetItemsProcessed(state.iterations() * img->num_cells());
+}
+BENCHMARK(BM_SliceAxis)->DenseRange(0, 2);
+
 void BM_ImageCompositeMerge(benchmark::State& state) {
   render::Image a(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(0)));

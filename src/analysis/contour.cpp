@@ -1,6 +1,9 @@
 #include "analysis/contour.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <optional>
 
 #include "data/unstructured_grid.hpp"
 #include "exec/task_pool.hpp"
@@ -102,19 +105,14 @@ constexpr std::array<std::array<int, 4>, 6> kHexTets = {{
     {0, 5, 1, 6},
 }};
 
-}  // namespace
-
-StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
-                                     const data::DataArray& contour_field,
-                                     double isovalue,
+/// Contours cells cell_at(0), ..., cell_at(ncells - 1), in that order, at
+/// {field(point) = isovalue}. The whole-dataset contour and the plane-local
+/// slice share this loop, so both emit identical triangles per cell.
+template <typename CellAt, typename Field>
+StatusOr<TriangleMesh> contour_cells(const data::DataSet& dataset,
+                                     std::int64_t ncells, CellAt cell_at,
+                                     Field field, double isovalue,
                                      const data::DataArray& attribute_field) {
-  if (contour_field.num_tuples() != dataset.num_points() ||
-      attribute_field.num_tuples() != dataset.num_points()) {
-    return Status::InvalidArgument(
-        "contour_field: arrays must be per-point over the dataset");
-  }
-
-  const std::int64_t ncells = dataset.num_cells();
   const bool unstructured =
       dataset.kind() == data::DataSetKind::kUnstructuredGrid;
   const auto* ugrid =
@@ -124,7 +122,7 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
   auto load = [&](std::int64_t point_id) {
     TetVert v;
     v.p = dataset.point(point_id);
-    v.f = contour_field.get(point_id);
+    v.f = field(point_id);
     v.attr = attribute_field.get(point_id);
     return v;
   };
@@ -142,7 +140,8 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
     const auto chunk = static_cast<std::size_t>(lo / kCellGrain);
     TriangleMesh& part = parts[chunk];
     std::vector<std::int64_t> cell;
-    for (std::int64_t c = lo; c < hi; ++c) {
+    for (std::int64_t index = lo; index < hi; ++index) {
+      const std::int64_t c = cell_at(index);
       if (dataset.is_ghost_cell(c)) continue;
       dataset.cell_points(c, cell);
       if (unstructured && ugrid->cell_type(c) == data::CellType::kTetra) {
@@ -193,6 +192,130 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
   return out;
 }
 
+/// Signed distances of points point_at(0), ..., point_at(n - 1) of
+/// `dataset` to the plane, through the plane_distance kernel: coordinates
+/// are gathered into disjoint chunk slices of SoA scratch first.
+template <typename PointAt>
+void plane_distances(const data::DataSet& dataset, std::int64_t n,
+                     PointAt point_at, data::Vec3 origin, data::Vec3 normal,
+                     double* dist) {
+  std::vector<double> xs(static_cast<std::size_t>(n));
+  std::vector<double> ys(static_cast<std::size_t>(n));
+  std::vector<double> zs(static_cast<std::size_t>(n));
+  exec::parallel_for(0, n, 8192, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const data::Vec3 p = dataset.point(point_at(i));
+      xs[static_cast<std::size_t>(i)] = p.x;
+      ys[static_cast<std::size_t>(i)] = p.y;
+      zs[static_cast<std::size_t>(i)] = p.z;
+    }
+    kernels::plane_distance(xs.data() + lo, ys.data() + lo, zs.data() + lo,
+                            hi - lo, origin.x, origin.y, origin.z, normal.x,
+                            normal.y, normal.z, dist + lo);
+  });
+}
+
+/// Axis-aligned slice of an ImageData that visits only the cells the plane
+/// can cut. Point coordinates along `axis` are nondecreasing in the layer
+/// index (positive spacing), and with finite coordinates the signed
+/// distance has one sign per point layer. So the only cells with corners
+/// on both sides lie in the layer where the distance changes sign: the
+/// estimated layer, +-1 for rounding. The distances at the bounding point
+/// layers confirm that no cell outside can straddle; if they do not, the
+/// caller falls back to the full scan. Returns nullopt in that case and
+/// when the input is not suitable (non-positive spacing, non-finite
+/// coordinates or value, `values` not per-point), leaving errors to the
+/// full scan.
+std::optional<StatusOr<TriangleMesh>> slice_image_layers(
+    const data::ImageData& img, const data::DataArray& values, int axis,
+    double value, data::Vec3 origin, data::Vec3 normal) {
+  const auto along = [axis](data::Vec3 v) {
+    return axis == 0 ? v.x : axis == 1 ? v.y : v.z;
+  };
+  const auto finite = [](data::Vec3 v) {
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+  };
+  const double spacing = along(img.spacing());
+  const data::Bounds b = img.bounds();
+  const std::int64_t layers = img.cell_dim(axis);
+  if (img.num_cells() == 0 || values.num_tuples() != img.num_points() ||
+      !(spacing > 0.0) || !std::isfinite(value) || !finite(b.lo) ||
+      !finite(b.hi)) {
+    return std::nullopt;
+  }
+  const double estimate = std::clamp(
+      std::floor((value - along(img.origin())) / spacing) -
+          static_cast<double>(img.box().offset[static_cast<std::size_t>(axis)]),
+      -1.0, static_cast<double>(layers));
+  const auto layer = static_cast<std::int64_t>(estimate);
+  const std::int64_t layer_lo = std::max<std::int64_t>(layer - 1, 0);
+  const std::int64_t layer_hi = std::min<std::int64_t>(layer + 1, layers - 1);
+
+  // Strides of the axis in point and cell ids, and of the next axis up.
+  std::int64_t point_inner = 1, cell_inner = 1;
+  for (int d = 0; d < axis; ++d) {
+    point_inner *= img.point_dim(d);
+    cell_inner *= img.cell_dim(d);
+  }
+  const std::int64_t point_outer = point_inner * img.point_dim(axis);
+  const std::int64_t cell_outer = cell_inner * layers;
+
+  // Point layers layer_lo .. layer_hi + 1, packed in point-id order.
+  const std::int64_t point_layers = layer_hi - layer_lo + 2;
+  const std::int64_t packed_run = point_inner * point_layers;
+  const std::int64_t npacked = packed_run * (img.num_points() / point_outer);
+  const auto point_at = [&](std::int64_t q) {
+    return q % packed_run + layer_lo * point_inner +
+           q / packed_run * point_outer;
+  };
+  std::vector<double> packed(static_cast<std::size_t>(npacked));
+  plane_distances(img, npacked, point_at, origin, normal, packed.data());
+
+  // Layer layer_lo must lie below the plane and layer_hi + 1 on or above
+  // it, unless they are the first / last point layer.
+  const bool below_ok = layer_lo == 0 || packed.front() < 0.0;
+  const bool above_ok =
+      layer_hi == layers - 1 ||
+      packed[static_cast<std::size_t>(point_inner * (point_layers - 1))] >=
+          0.0;
+  if (!below_ok || !above_ok) return std::nullopt;
+
+  // The full scan's per-point array, so buffer-pool and memory accounting
+  // stay those of the full scan; only the layers above are filled.
+  data::DataArrayPtr distance =
+      data::DataArray::create<double>("plane_distance", img.num_points(), 1);
+  double* dist = distance->component_base<double>(0);
+  for (std::int64_t q = 0; q < npacked; ++q) {
+    dist[point_at(q)] = packed[static_cast<std::size_t>(q)];
+  }
+  const std::int64_t cell_run = cell_inner * (layer_hi - layer_lo + 1);
+  const std::int64_t ncells = cell_run * (img.num_cells() / cell_outer);
+  return contour_cells(
+      img, ncells,
+      [&](std::int64_t index) {
+        return index % cell_run + layer_lo * cell_inner +
+               index / cell_run * cell_outer;
+      },
+      [&](std::int64_t p) { return dist[p]; }, 0.0, values);
+}
+
+}  // namespace
+
+StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
+                                     const data::DataArray& contour_field,
+                                     double isovalue,
+                                     const data::DataArray& attribute_field) {
+  if (contour_field.num_tuples() != dataset.num_points() ||
+      attribute_field.num_tuples() != dataset.num_points()) {
+    return Status::InvalidArgument(
+        "contour_field: arrays must be per-point over the dataset");
+  }
+  return contour_cells(
+      dataset, dataset.num_cells(), [](std::int64_t c) { return c; },
+      [&](std::int64_t p) { return contour_field.get(p); }, isovalue,
+      attribute_field);
+}
+
 StatusOr<TriangleMesh> isosurface(const data::DataSet& dataset,
                                   const std::string& array, double isovalue) {
   INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
@@ -209,23 +332,9 @@ StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
   const std::int64_t npoints = dataset.num_points();
   data::DataArrayPtr distance =
       data::DataArray::create<double>("plane_distance", npoints, 1);
-  double* dist = distance->component_base<double>(0);
-  // Gather coordinates into disjoint chunk slices of SoA scratch, then
-  // evaluate the signed distance with the dispatch kernel.
-  std::vector<double> xs(static_cast<std::size_t>(npoints));
-  std::vector<double> ys(static_cast<std::size_t>(npoints));
-  std::vector<double> zs(static_cast<std::size_t>(npoints));
-  exec::parallel_for(0, npoints, 8192, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const data::Vec3 p = dataset.point(i);
-      xs[static_cast<std::size_t>(i)] = p.x;
-      ys[static_cast<std::size_t>(i)] = p.y;
-      zs[static_cast<std::size_t>(i)] = p.z;
-    }
-    kernels::plane_distance(xs.data() + lo, ys.data() + lo, zs.data() + lo,
-                            hi - lo, origin.x, origin.y, origin.z, n.x, n.y,
-                            n.z, dist + lo);
-  });
+  plane_distances(
+      dataset, npoints, [](std::int64_t i) { return i; }, origin, n,
+      distance->component_base<double>(0));
   return contour_field(dataset, *distance, 0.0, *values);
 }
 
@@ -245,6 +354,15 @@ StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
   } else {
     origin = {0, 0, value};
     normal = {0, 0, 1};
+  }
+  if (dataset.kind() == data::DataSetKind::kImageData) {
+    INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
+                            dataset.point_fields().require(array));
+    if (auto mesh = slice_image_layers(
+            static_cast<const data::ImageData&>(dataset), *values, axis,
+            value, origin, normal.normalized())) {
+      return *std::move(mesh);
+    }
   }
   return slice_plane(dataset, array, origin, normal);
 }

@@ -1,8 +1,12 @@
 #include "render/png.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 
 namespace insitu::render::png {
 
@@ -31,32 +35,34 @@ constexpr std::array<int, 30> kDistExtra = {
     0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4,  4,  5,  5,  6,
     6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
-/// LSB-first bit writer (DEFLATE bit order).
+/// LSB-first bit writer (DEFLATE bit order) that appends whole 32-bit
+/// words to the output.
 class BitWriter {
  public:
   explicit BitWriter(std::vector<std::byte>& out) : out_(out) {}
 
-  void put_bits(std::uint32_t bits, int count) {
-    acc_ |= static_cast<std::uint64_t>(bits) << fill_;
+  /// Appends the low `count` bits of `bits`, first bit first (count <= 32).
+  void put_bits(std::uint64_t bits, int count) {
+    acc_ |= bits << fill_;
     fill_ += count;
-    while (fill_ >= 8) {
+    if (fill_ >= 32) {
+      const std::byte word[4] = {static_cast<std::byte>(acc_),
+                                 static_cast<std::byte>(acc_ >> 8),
+                                 static_cast<std::byte>(acc_ >> 16),
+                                 static_cast<std::byte>(acc_ >> 24)};
+      out_.insert(out_.end(), std::begin(word), std::end(word));
+      acc_ >>= 32;
+      fill_ -= 32;
+    }
+  }
+
+  /// Pads the last partial byte with zero bits and writes what is left.
+  void flush() {
+    for (; fill_ > 0; fill_ -= 8) {
       out_.push_back(static_cast<std::byte>(acc_ & 0xFF));
       acc_ >>= 8;
-      fill_ -= 8;
     }
-  }
-
-  /// Huffman codes are written MSB-first: reverse before emitting.
-  void put_huffman(std::uint32_t code, int length) {
-    std::uint32_t reversed = 0;
-    for (int i = 0; i < length; ++i) {
-      reversed = (reversed << 1) | ((code >> i) & 1u);
-    }
-    put_bits(reversed, length);
-  }
-
-  void align_to_byte() {
-    if (fill_ > 0) put_bits(0, 8 - fill_);
+    fill_ = 0;
   }
 
  private:
@@ -65,45 +71,69 @@ class BitWriter {
   int fill_ = 0;
 };
 
-/// Fixed-Huffman literal/length code (RFC 1951 §3.2.6).
-void put_litlen(BitWriter& bw, int symbol) {
-  if (symbol <= 143) {
-    bw.put_huffman(static_cast<std::uint32_t>(0x30 + symbol), 8);
-  } else if (symbol <= 255) {
-    bw.put_huffman(static_cast<std::uint32_t>(0x190 + symbol - 144), 9);
-  } else if (symbol <= 279) {
-    bw.put_huffman(static_cast<std::uint32_t>(symbol - 256), 7);
-  } else {
-    bw.put_huffman(static_cast<std::uint32_t>(0xC0 + symbol - 280), 8);
+/// Bits ready for BitWriter::put_bits: a bit-reversed Huffman code
+/// (Huffman codes are defined MSB-first), possibly followed by extra bits.
+struct Code {
+  std::uint32_t bits = 0;
+  int count = 0;
+};
+
+std::uint32_t reverse_bits(std::uint32_t code, int length) {
+  std::uint32_t reversed = 0;
+  for (int i = 0; i < length; ++i) {
+    reversed = (reversed << 1) | ((code >> i) & 1u);
   }
+  return reversed;
 }
 
-void put_length(BitWriter& bw, int length) {
-  int code = 0;
-  while (code < 28 && kLengthBase[static_cast<std::size_t>(code + 1)] <= length) {
-    ++code;
-  }
-  put_litlen(bw, 257 + code);
-  const int extra = kLengthExtra[static_cast<std::size_t>(code)];
-  if (extra > 0) {
-    bw.put_bits(
-        static_cast<std::uint32_t>(length - kLengthBase[static_cast<std::size_t>(code)]),
-        extra);
-  }
+/// Fixed-Huffman codes (RFC 1951 §3.2.6): literal/length symbols, the
+/// symbol plus extra bits of every match length, and the 5-bit distance
+/// codes.
+struct FixedCodes {
+  std::array<Code, 288> litlen;
+  std::array<Code, kMaxMatch + 1> length;
+  std::array<std::uint32_t, 30> dist;
+};
+
+const FixedCodes& fixed_codes() {
+  static const FixedCodes codes = [] {
+    FixedCodes c;
+    for (std::uint32_t s = 0; s < 288; ++s) {
+      if (s <= 143) {
+        c.litlen[s] = {reverse_bits(0x30 + s, 8), 8};
+      } else if (s <= 255) {
+        c.litlen[s] = {reverse_bits(0x190 + s - 144, 9), 9};
+      } else if (s <= 279) {
+        c.litlen[s] = {reverse_bits(s - 256, 7), 7};
+      } else {
+        c.litlen[s] = {reverse_bits(0xC0 + s - 280, 8), 8};
+      }
+    }
+    for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+      std::size_t code = 0;
+      while (code < 28 && kLengthBase[code + 1] <= len) ++code;
+      const Code sym = c.litlen[257 + code];
+      const auto extra = static_cast<std::uint32_t>(len - kLengthBase[code]);
+      c.length[static_cast<std::size_t>(len)] = {
+          sym.bits | (extra << sym.count), sym.count + kLengthExtra[code]};
+    }
+    for (std::uint32_t d = 0; d < 30; ++d) c.dist[d] = reverse_bits(d, 5);
+    return c;
+  }();
+  return codes;
 }
 
-void put_distance(BitWriter& bw, int distance) {
-  int code = 0;
-  while (code < 29 && kDistBase[static_cast<std::size_t>(code + 1)] <= distance) {
-    ++code;
-  }
-  bw.put_huffman(static_cast<std::uint32_t>(code), 5);
-  const int extra = kDistExtra[static_cast<std::size_t>(code)];
-  if (extra > 0) {
-    bw.put_bits(
-        static_cast<std::uint32_t>(distance - kDistBase[static_cast<std::size_t>(code)]),
-        extra);
-  }
+/// Distance code plus its extra bits (RFC 1951 §3.2.5). Codes come in
+/// pairs per power of two: for d-1 >= 4 the code is 2*floor(log2(d-1))
+/// plus the bit below the leading one.
+Code distance_code(const FixedCodes& codes, int distance) {
+  const auto x = static_cast<std::uint32_t>(distance - 1);
+  if (x < 4) return {codes.dist[x], 5};
+  const int k = std::bit_width(x) - 1;
+  const std::uint32_t code =
+      2 * static_cast<std::uint32_t>(k) + ((x >> (k - 1)) & 1u);
+  const std::uint32_t extra = x & ((1u << (k - 1)) - 1u);
+  return {codes.dist[code] | (extra << 5), 5 + (k - 1)};
 }
 
 inline std::uint32_t hash3(const std::uint8_t* p) {
@@ -113,39 +143,35 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-}  // namespace
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
-std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = n;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[n] = c;
+/// Length of the common prefix of `a` and `b`, at most `limit` bytes;
+/// compares 8 bytes at a time.
+inline int match_length(const std::uint8_t* a, const std::uint8_t* b,
+                        int limit) {
+  int len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    if (const std::uint64_t diff = load_u64(a + len) ^ load_u64(b + len)) {
+      return len + (std::endian::native == std::endian::little
+                        ? std::countr_zero(diff)
+                        : std::countl_zero(diff)) /
+                       8;
     }
-    return t;
-  }();
-  std::uint32_t crc = seed;
-  for (const std::byte b : data) {
-    crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
-std::uint32_t adler32(std::span<const std::byte> data) {
-  std::uint32_t a = 1, b = 0;
-  for (const std::byte byte : data) {
-    a = (a + static_cast<std::uint32_t>(byte)) % 65521u;
-    b = (b + a) % 65521u;
-  }
-  return (b << 16) | a;
-}
-
-std::vector<std::byte> deflate_fixed(std::span<const std::byte> data) {
-  std::vector<std::byte> out;
-  out.reserve(data.size() / 2 + 64);
+/// Appends the raw DEFLATE stream of `data` (one fixed-Huffman block) to
+/// `out`. Greedy LZ77 over hash chains of 3-byte prefixes, at most
+/// kMaxChain candidates deep, longest match wins, nearest on ties.
+void deflate_fixed_into(std::span<const std::byte> data,
+                        std::vector<std::byte>& out) {
+  const FixedCodes& codes = fixed_codes();
   BitWriter bw(out);
   bw.put_bits(1, 1);  // BFINAL
   bw.put_bits(1, 2);  // BTYPE = fixed Huffman
@@ -153,55 +179,138 @@ std::vector<std::byte> deflate_fixed(std::span<const std::byte> data) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
   const std::int64_t n = static_cast<std::int64_t>(data.size());
 
+  // head[h]: latest position with hash h. prev: for each position of the
+  // last window, the previous position with the same hash. Chains are
+  // only followed within the window, so a window-sized ring suffices.
+  constexpr std::int64_t kRingMask = kWindowSize - 1;
   std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> prev(data.size(), -1);
+  std::vector<std::int64_t> prev(kWindowSize, -1);
 
   std::int64_t i = 0;
   while (i < n) {
     int best_len = 0;
     std::int64_t best_dist = 0;
-    if (i + kMinMatch <= n) {
-      const std::uint32_t h = hash3(bytes + i);
+    const bool hashable = i + kMinMatch <= n;
+    const std::uint32_t h = hashable ? hash3(bytes + i) : 0;
+    if (hashable) {
+      const int limit =
+          static_cast<int>(std::min<std::int64_t>(kMaxMatch, n - i));
+      const std::uint8_t* cur = bytes + i;
       std::int64_t cand = head[h];
-      int chain = 0;
-      while (cand >= 0 && i - cand <= kWindowSize && chain < kMaxChain) {
-        const int limit =
-            static_cast<int>(std::min<std::int64_t>(kMaxMatch, n - i));
-        int len = 0;
-        while (len < limit && bytes[cand + len] == bytes[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = i - cand;
-          if (len >= kMaxMatch) break;
+      for (int chain = 0;
+           cand >= 0 && i - cand <= kWindowSize && chain < kMaxChain; ++chain) {
+        const std::uint8_t* match = bytes + cand;
+        // A candidate differing at best_len cannot be longer than it.
+        if (match[best_len] == cur[best_len]) {
+          const int len = match_length(match, cur, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = i - cand;
+            if (len >= limit) break;
+          }
         }
-        cand = prev[static_cast<std::size_t>(cand)];
-        ++chain;
+        cand = prev[static_cast<std::size_t>(cand & kRingMask)];
       }
     }
 
     if (best_len >= kMinMatch) {
-      put_length(bw, best_len);
-      put_distance(bw, static_cast<int>(best_dist));
+      const Code len = codes.length[static_cast<std::size_t>(best_len)];
+      const Code dist = distance_code(codes, static_cast<int>(best_dist));
+      bw.put_bits(
+          len.bits | (static_cast<std::uint64_t>(dist.bits) << len.count),
+          len.count + dist.count);
       // Insert hash entries for the matched region.
       const std::int64_t stop = std::min(i + best_len, n - kMinMatch + 1);
       for (std::int64_t j = i; j < stop; ++j) {
-        const std::uint32_t h = hash3(bytes + j);
-        prev[static_cast<std::size_t>(j)] = head[h];
-        head[h] = j;
+        const std::uint32_t hj = hash3(bytes + j);
+        prev[static_cast<std::size_t>(j & kRingMask)] = head[hj];
+        head[hj] = j;
       }
       i += best_len;
     } else {
-      put_litlen(bw, bytes[i]);
-      if (i + kMinMatch <= n) {
-        const std::uint32_t h = hash3(bytes + i);
-        prev[static_cast<std::size_t>(i)] = head[h];
+      const Code lit = codes.litlen[bytes[i]];
+      bw.put_bits(lit.bits, lit.count);
+      if (hashable) {
+        prev[static_cast<std::size_t>(i & kRingMask)] = head[h];
         head[h] = i;
       }
       ++i;
     }
   }
-  put_litlen(bw, 256);  // end of block
-  bw.align_to_byte();
+  const Code eob = codes.litlen[256];  // end of block
+  bw.put_bits(eob.bits, eob.count);
+  bw.flush();
+}
+
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
+  // Slicing-by-8: table[k][b] is the CRC of byte b followed by k zeros.
+  static const auto table = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      std::uint32_t c = n;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[0][n] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t n = 0; n < 256; ++n) {
+        t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+      }
+    }
+    return t;
+  }();
+  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::size_t n = data.size();
+  const auto le32 = [](const std::uint8_t* q) {
+    return static_cast<std::uint32_t>(q[0]) |
+           (static_cast<std::uint32_t>(q[1]) << 8) |
+           (static_cast<std::uint32_t>(q[2]) << 16) |
+           (static_cast<std::uint32_t>(q[3]) << 24);
+  };
+  std::uint32_t crc = seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = le32(p) ^ crc;
+    const std::uint32_t hi = le32(p + 4);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+          table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = table[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t adler32(std::span<const std::byte> data) {
+  // zlib's NMAX: the most bytes before b can overflow 32 bits, so the
+  // modulo is taken once per block instead of once per byte.
+  constexpr std::size_t kNmax = 5552;
+  constexpr std::uint32_t kBase = 65521;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::size_t n = data.size();
+  std::uint32_t a = 1, b = 0;
+  while (n > 0) {
+    const std::size_t block = std::min(n, kNmax);
+    for (std::size_t i = 0; i < block; ++i) {
+      a += p[i];
+      b += a;
+    }
+    a %= kBase;
+    b %= kBase;
+    p += block;
+    n -= block;
+  }
+  return (b << 16) | a;
+}
+
+std::vector<std::byte> deflate_fixed(std::span<const std::byte> data) {
+  std::vector<std::byte> out;
+  out.reserve(data.size() / 2 + 64);
+  deflate_fixed_into(data, out);
   return out;
 }
 
@@ -231,9 +340,13 @@ std::vector<std::byte> zlib_compress(std::span<const std::byte> data,
   std::vector<std::byte> out;
   out.push_back(std::byte{0x78});  // CMF: deflate, 32K window
   out.push_back(std::byte{0x01});  // FLG: check bits, no dict
-  std::vector<std::byte> body =
-      compress ? deflate_fixed(data) : deflate_stored(data);
-  out.insert(out.end(), body.begin(), body.end());
+  if (compress) {
+    out.reserve(data.size() / 2 + 64);
+    deflate_fixed_into(data, out);
+  } else {
+    const std::vector<std::byte> body = deflate_stored(data);
+    out.insert(out.end(), body.begin(), body.end());
+  }
   const std::uint32_t adler = adler32(data);
   out.push_back(static_cast<std::byte>((adler >> 24) & 0xFF));
   out.push_back(static_cast<std::byte>((adler >> 16) & 0xFF));
@@ -424,24 +537,75 @@ void append_u32_be(std::vector<std::byte>& out, std::uint32_t value) {
 void append_chunk(std::vector<std::byte>& out, const char type[4],
                   std::span<const std::byte> payload) {
   append_u32_be(out, static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::byte> crc_region;
-  crc_region.reserve(4 + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    crc_region.push_back(static_cast<std::byte>(type[i]));
+  const std::span<const std::byte> tag(reinterpret_cast<const std::byte*>(type),
+                                       4);
+  out.insert(out.end(), tag.begin(), tag.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  // The chunk CRC covers type + payload; chain it through the seed.
+  append_u32_be(out, crc32(payload, crc32(tag) ^ 0xFFFFFFFFu));
+}
+
+/// |residual| of a filtered byte read as a signed value (libpng's
+/// minimum-sum-of-absolute-differences heuristic).
+inline int abs_residual(std::uint8_t v) {
+  return std::abs(static_cast<int>(static_cast<std::int8_t>(v)));
+}
+
+/// Writes the filter byte and the filtered bytes of one RGBA scanline to
+/// `dst`. With `choose`, picks None/Sub/Up by the smallest residual sum,
+/// preferring the earlier filter on ties; otherwise writes None.
+void filter_row(const std::uint8_t* row, const std::uint8_t* above,
+                std::size_t row_bytes, bool choose, std::uint8_t* dst) {
+  enum : std::uint8_t { kNone = 0, kSub = 1, kUp = 2 };
+  std::uint8_t filter = kNone;
+  if (choose) {
+    long none = 0;
+    const std::size_t lead = std::min<std::size_t>(4, row_bytes);
+    for (std::size_t i = 0; i < lead; ++i) none += abs_residual(row[i]);
+    long sub = none;  // Sub subtracts 0 left of the first pixel.
+    for (std::size_t i = lead; i < row_bytes; ++i) {
+      none += abs_residual(row[i]);
+      sub += abs_residual(static_cast<std::uint8_t>(row[i] - row[i - 4]));
+    }
+    long best = none;
+    if (sub < best) {
+      best = sub;
+      filter = kSub;
+    }
+    if (above != nullptr) {
+      long up = 0;
+      for (std::size_t i = 0; i < row_bytes; ++i) {
+        up += abs_residual(static_cast<std::uint8_t>(row[i] - above[i]));
+      }
+      if (up < best) filter = kUp;
+    }
   }
-  crc_region.insert(crc_region.end(), payload.begin(), payload.end());
-  out.insert(out.end(), crc_region.begin(), crc_region.end());
-  append_u32_be(out, crc32(crc_region));
+  dst[0] = filter;
+  std::uint8_t* out = dst + 1;
+  switch (filter) {
+    case kSub:
+      std::memcpy(out, row, std::min<std::size_t>(4, row_bytes));
+      for (std::size_t i = 4; i < row_bytes; ++i) {
+        out[i] = static_cast<std::uint8_t>(row[i] - row[i - 4]);
+      }
+      break;
+    case kUp:
+      for (std::size_t i = 0; i < row_bytes; ++i) {
+        out[i] = static_cast<std::uint8_t>(row[i] - above[i]);
+      }
+      break;
+    default:
+      std::memcpy(out, row, row_bytes);
+  }
 }
 
 }  // namespace
 
 std::vector<std::byte> encode(const Image& img, const PngOptions& options) {
-  std::vector<std::byte> out;
   const std::byte signature[] = {
       std::byte{0x89}, std::byte{'P'}, std::byte{'N'}, std::byte{'G'},
       std::byte{0x0D}, std::byte{0x0A}, std::byte{0x1A}, std::byte{0x0A}};
-  out.insert(out.end(), std::begin(signature), std::end(signature));
+  std::vector<std::byte> out(std::begin(signature), std::end(signature));
 
   std::vector<std::byte> ihdr;
   append_u32_be(ihdr, static_cast<std::uint32_t>(img.width()));
@@ -453,59 +617,22 @@ std::vector<std::byte> encode(const Image& img, const PngOptions& options) {
   ihdr.push_back(std::byte{0});   // interlace
   append_chunk(out, "IHDR", ihdr);
 
-  // Scanlines with a per-row filter byte. With filtering enabled, each
-  // row tries None/Sub/Up and keeps the one with the smallest absolute
-  // residual sum (libpng's minimum-sum-of-absolute-differences heuristic).
+  // Scanlines, each led by its filter byte.
   const std::size_t row_bytes = static_cast<std::size_t>(img.width()) * 4;
-  std::vector<std::byte> raw;
-  raw.reserve(static_cast<std::size_t>(img.height()) * (1 + row_bytes));
-  std::vector<std::uint8_t> candidate(row_bytes);
-  std::vector<std::uint8_t> best(row_bytes);
+  const std::size_t raw_size =
+      static_cast<std::size_t>(img.height()) * (1 + row_bytes);
+  const auto raw = std::make_unique_for_overwrite<std::uint8_t[]>(raw_size);
+  const auto* pixels =
+      reinterpret_cast<const std::uint8_t*>(img.pixels().data());
   for (int y = 0; y < img.height(); ++y) {
-    const auto* row = reinterpret_cast<const std::uint8_t*>(
-        img.pixels().data() + static_cast<std::size_t>(y) * img.width());
-    const auto* above =
-        y > 0 ? reinterpret_cast<const std::uint8_t*>(
-                    img.pixels().data() +
-                    static_cast<std::size_t>(y - 1) * img.width())
-              : nullptr;
-    std::uint8_t best_filter = 0;
-    std::memcpy(best.data(), row, row_bytes);
-    if (options.filter) {
-      auto residual_sum = [&](const std::vector<std::uint8_t>& data) {
-        long sum = 0;
-        for (const std::uint8_t v : data) {
-          sum += v < 128 ? v : 256 - v;  // |signed residual|
-        }
-        return sum;
-      };
-      long best_sum = residual_sum(best);
-      // Filter 1 (Sub): subtract the pixel 4 bytes to the left.
-      for (std::size_t i = 0; i < row_bytes; ++i) {
-        candidate[i] = static_cast<std::uint8_t>(
-            row[i] - (i >= 4 ? row[i - 4] : 0));
-      }
-      if (const long sum = residual_sum(candidate); sum < best_sum) {
-        best_sum = sum;
-        best_filter = 1;
-        best = candidate;
-      }
-      // Filter 2 (Up): subtract the pixel in the previous row.
-      if (above != nullptr) {
-        for (std::size_t i = 0; i < row_bytes; ++i) {
-          candidate[i] = static_cast<std::uint8_t>(row[i] - above[i]);
-        }
-        if (const long sum = residual_sum(candidate); sum < best_sum) {
-          best_filter = 2;
-          best = candidate;
-        }
-      }
-    }
-    raw.push_back(static_cast<std::byte>(best_filter));
-    raw.insert(raw.end(), reinterpret_cast<const std::byte*>(best.data()),
-               reinterpret_cast<const std::byte*>(best.data()) + row_bytes);
+    const std::uint8_t* row = pixels + static_cast<std::size_t>(y) * row_bytes;
+    filter_row(row, y > 0 ? row - row_bytes : nullptr, row_bytes,
+               options.filter,
+               raw.get() + static_cast<std::size_t>(y) * (1 + row_bytes));
   }
-  append_chunk(out, "IDAT", zlib_compress(raw, options.compress));
+  append_chunk(out, "IDAT",
+               zlib_compress(std::as_bytes(std::span(raw.get(), raw_size)),
+                             options.compress));
   append_chunk(out, "IEND", {});
   return out;
 }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "analysis/derived.hpp"
 #include "data/image_data.hpp"
 #include "data/unstructured_grid.hpp"
+#include "kernels/kernels.hpp"
 
 namespace insitu::analysis {
 namespace {
@@ -81,6 +86,149 @@ TEST(SliceAxis, InvalidAxisRejected)
 TEST(SliceAxis, MissingArrayRejected) {
   auto img = make_field(2, [](const Vec3& p) { return p.x; });
   EXPECT_FALSE(slice_axis(*img, "nope", 0, 1.0).ok());
+}
+
+/// Bit-for-bit mesh equality (vertices, scalars, triangles in order).
+void expect_identical(const TriangleMesh& a, const TriangleMesh& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.vertices.size(), b.vertices.size()) << what;
+  ASSERT_EQ(a.scalars.size(), b.scalars.size()) << what;
+  ASSERT_EQ(a.triangles.size(), b.triangles.size()) << what;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < a.vertices.size(); ++i) {
+    const Vec3 p = a.vertices[i], q = b.vertices[i];
+    ASSERT_EQ(bits(p.x), bits(q.x)) << what << " v" << i;
+    ASSERT_EQ(bits(p.y), bits(q.y)) << what << " v" << i;
+    ASSERT_EQ(bits(p.z), bits(q.z)) << what << " v" << i;
+    ASSERT_EQ(bits(a.scalars[i]), bits(b.scalars[i])) << what << " s" << i;
+  }
+  for (std::size_t i = 0; i < a.triangles.size(); ++i) {
+    ASSERT_EQ(a.triangles[i], b.triangles[i]) << what << " t" << i;
+  }
+}
+
+/// An offset box with uneven spacing and a field with no symmetry.
+std::shared_ptr<ImageData> offset_block(Vec3 origin, Vec3 spacing) {
+  IndexBox box;
+  box.cells = {7, 5, 6};
+  box.offset = {3, 11, 2};
+  auto img = std::make_shared<ImageData>(box, origin, spacing);
+  auto values = DataArray::create<double>("s", img->num_points(), 1);
+  for (std::int64_t i = 0; i < img->num_points(); ++i) {
+    const Vec3 p = img->point(i);
+    values->set(i, 0, std::sin(p.x) + p.y * p.z - 0.5 * p.x * p.y);
+  }
+  img->point_fields().add(values);
+  return img;
+}
+
+/// Plane values that probe every layer boundary of `img` along `axis`:
+/// on each grid plane, at half spacing, at the block's lo/hi, one ulp
+/// beyond them, one spacing outside, far outside and non-finite.
+std::vector<double> probe_values(const ImageData& img, int axis) {
+  const auto along = [axis](Vec3 v) {
+    return axis == 0 ? v.x : axis == 1 ? v.y : v.z;
+  };
+  const double o = along(img.origin());
+  const double s = along(img.spacing());
+  const double lo = along(img.bounds().lo);
+  const double hi = along(img.bounds().hi);
+  const auto offset = static_cast<double>(
+      img.box().offset[static_cast<std::size_t>(axis)]);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {lo,
+                                hi,
+                                std::nextafter(hi, inf),
+                                std::nextafter(hi, -inf),
+                                std::nextafter(lo, -inf),
+                                std::nextafter(lo, inf),
+                                lo - s,
+                                hi + s,
+                                lo - 1e6,
+                                hi + 1e300,
+                                inf,
+                                -inf,
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (std::int64_t i = 0; i <= img.cell_dim(axis); ++i) {
+    const double index = offset + static_cast<double>(i);
+    const double on_grid = o + s * index;
+    values.push_back(on_grid);
+    values.push_back(std::nextafter(on_grid, inf));
+    values.push_back(std::nextafter(on_grid, -inf));
+    values.push_back(o + s * (index + 0.5));
+  }
+  return values;
+}
+
+void expect_fast_slice_matches_full_scan(const ImageData& img,
+                                         const std::string& label) {
+  for (int axis = 0; axis < 3; ++axis) {
+    for (const double value : probe_values(img, axis)) {
+      Vec3 origin, normal;
+      (axis == 0 ? origin.x : axis == 1 ? origin.y : origin.z) = value;
+      (axis == 0 ? normal.x : axis == 1 ? normal.y : normal.z) = 1.0;
+      auto fast = slice_axis(img, "s", axis, value);
+      auto full = slice_plane(img, "s", origin, normal);
+      ASSERT_TRUE(fast.ok());
+      ASSERT_TRUE(full.ok());
+      expect_identical(*fast, *full,
+                       label + " axis " + std::to_string(axis) + " value " +
+                           std::to_string(value));
+    }
+  }
+}
+
+TEST(SliceAxis, ImageDataFastPathMatchesFullScanBitForBit) {
+  expect_fast_slice_matches_full_scan(
+      *offset_block({-1.5, 0.25, 2.0}, {0.5, 0.3, 0.7}), "offset block");
+  // Coordinates far from the origin relative to the spacing: grid planes
+  // round, so the layer estimate is only approximate.
+  expect_fast_slice_matches_full_scan(
+      *offset_block({1e9, -3e7, 1e5}, {1e-7, 3e-9, 7e-11}), "coarse rounding");
+  // Spacing a fraction of an ulp of the origin: several layers round to
+  // the same coordinate, the layer estimate misses the cut layer, and the
+  // slice must still match (through the full scan).
+  const double ulp = std::nextafter(1e9, 2e9) - 1e9;
+  expect_fast_slice_matches_full_scan(
+      *offset_block({1e9, 1e9, 1e9}, {ulp / 5, ulp / 3, ulp / 7}),
+      "sub-ulp spacing");
+}
+
+TEST(SliceAxis, ImageDataFastPathSkipsGhostCells) {
+  auto img = offset_block({-1.5, 0.25, 2.0}, {0.5, 0.3, 0.7});
+  auto ghosts = DataArray::create<std::uint8_t>(
+      data::DataSet::kGhostArrayName, img->num_cells(), 1);
+  for (std::int64_t c = 0; c < img->num_cells(); c += 3) {
+    ghosts->set(c, 0, data::kGhostDuplicate);
+  }
+  img->set_ghost_cells(ghosts);
+  expect_fast_slice_matches_full_scan(*img, "ghost cells");
+}
+
+TEST(SliceAxis, RejectsArrayThatIsNotPerPoint) {
+  auto img = make_field(4, [](const Vec3& p) { return p.x; });
+  img->point_fields().add(
+      DataArray::create<double>("short", img->num_cells(), 1));
+  EXPECT_FALSE(slice_axis(*img, "short", 2, 2.5).ok());
+}
+
+TEST(SliceAxis, ImageDataComputesDistancesOnlyNearThePlane) {
+  auto img = make_field(32, [](const Vec3& p) { return p.x; });
+  const auto computed = [] {
+    const kernels::StatsSnapshot snap = kernels::stats_snapshot();
+    std::uint64_t elements = 0;
+    for (const auto& variant :
+         snap.s[static_cast<int>(kernels::KernelId::kPlaneDistance)]) {
+      elements += variant.elements;
+    }
+    return elements;
+  };
+  const std::uint64_t before = computed();
+  auto mesh = slice_axis(*img, "s", 0, 10.5);
+  ASSERT_TRUE(mesh.ok());
+  EXPECT_FALSE(mesh->empty());
+  // At most 4 point layers of 33 x 33 points, not all 33^3.
+  EXPECT_LE(computed() - before, 4u * 33u * 33u);
 }
 
 TEST(Isosurface, SphereSurfaceHasCorrectRadius) {

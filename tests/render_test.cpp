@@ -2,13 +2,17 @@
 
 #include <atomic>
 #include <filesystem>
+#include <span>
+#include <string>
 
 #include "analysis/contour.hpp"
 #include "comm/runtime.hpp"
 #include "data/image_data.hpp"
+#include "pal/rng.hpp"
 #include "render/compositor.hpp"
 #include "render/png.hpp"
 #include "render/rasterizer.hpp"
+#include "test_dir.hpp"
 
 namespace insitu::render {
 namespace {
@@ -367,6 +371,153 @@ TEST(Png, FilteringImprovesGradientCompression) {
   EXPECT_EQ(png::decode(unfiltered)->color_hash(), img.color_hash());
 }
 
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Fixed test images for the golden encoder digests: a smooth gradient
+/// (Sub/Up filters win), seeded noise (None wins), a single pixel, and an
+/// odd-width image mixing a flat field with a noisy band.
+Image golden_image(const std::string& kind) {
+  if (kind == "gradient") {
+    Image img(128, 96);
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < img.width(); ++x) {
+        img.pixel(x, y) = {static_cast<std::uint8_t>(x + y),
+                           static_cast<std::uint8_t>(2 * x + 3),
+                           static_cast<std::uint8_t>(255 - y), 255};
+      }
+    }
+    return img;
+  }
+  pal::Rng rng(kind == "noisy" ? 2024 : 77);
+  const auto noise = [&] {
+    return static_cast<std::uint8_t>(rng.next_below(256));
+  };
+  if (kind == "noisy") {
+    Image img(64, 48);
+    for (Rgba& p : img.pixels()) p = {noise(), noise(), noise(), noise()};
+    return img;
+  }
+  if (kind == "1x1") {
+    Image img(1, 1);
+    img.pixel(0, 0) = {12, 200, 7, 255};
+    return img;
+  }
+  Image img(37, 11);  // "odd"
+  img.clear(Rgba{30, 40, 50, 255});
+  for (int y = 3; y < 7; ++y) {
+    for (int x = 5; x < 31; ++x) {
+      img.pixel(x, y) = {noise(), static_cast<std::uint8_t>(x * 7), noise(),
+                         255};
+    }
+  }
+  return img;
+}
+
+TEST(Png, GoldenEncoderBytes) {
+  // Digests of png::encode recorded from the reference (byte-at-a-time)
+  // encoder. Any encoder rewrite must reproduce these streams exactly.
+  struct Golden {
+    const char* image;
+    bool compress;
+    bool filter;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const Golden goldens[] = {
+      {"gradient", true, true, 545, 0xf8a754e1e136f676ULL},
+      {"gradient", true, false, 53401, 0x76460d3a02114482ULL},
+      {"gradient", false, true, 49316, 0xa593c739e029b1faULL},
+      {"gradient", false, false, 49316, 0xc142151b595c151aULL},
+      {"noisy", true, true, 13074, 0x6225b423455372b0ULL},
+      {"noisy", true, false, 13068, 0x0accda97af67cc92ULL},
+      {"noisy", false, true, 12404, 0xf01642ae79556d57ULL},
+      {"noisy", false, false, 12404, 0x6de137d746d4bd6bULL},
+      {"1x1", true, true, 70, 0xbc41a49831c5af7fULL},
+      {"1x1", true, false, 70, 0xbc41a49831c5af7fULL},
+      {"1x1", false, true, 73, 0x4dc9f587fb7fae08ULL},
+      {"1x1", false, false, 73, 0x4dc9f587fb7fae08ULL},
+      {"odd", true, true, 522, 0x389b606d2b50d38cULL},
+      {"odd", true, false, 534, 0x5531f0c958078d55ULL},
+      {"odd", false, true, 1707, 0x50592a0519792564ULL},
+      {"odd", false, false, 1707, 0xc2116227b8750370ULL},
+  };
+  for (const Golden& g : goldens) {
+    const auto bytes = png::encode(
+        golden_image(g.image), {.compress = g.compress, .filter = g.filter});
+    EXPECT_EQ(bytes.size(), g.size)
+        << g.image << " compress=" << g.compress << " filter=" << g.filter;
+    EXPECT_EQ(fnv1a(bytes), g.fnv)
+        << std::hex << g.image << " compress=" << g.compress
+        << " filter=" << g.filter;
+  }
+}
+
+TEST(Png, GoldenDeflateWrapsWindowAndReachesMaxMatch) {
+  // 125,000 bytes, so the 32 KiB match window wraps several times: a
+  // long-period random
+  // stretch (matches near the 32 KiB distance limit), a short period
+  // (258-byte matches), a zero run and a 4-symbol alphabet (dense hash
+  // chains, short matches).
+  pal::Rng rng(9);
+  std::vector<std::byte> data;
+  std::vector<std::byte> period(30011);
+  for (auto& b : period) b = static_cast<std::byte>(rng.next_below(256));
+  for (std::size_t i = 0; i < 40000; ++i) {
+    data.push_back(period[i % period.size()]);
+  }
+  for (std::size_t i = 0; i < 40000; ++i) data.push_back(period[i % 997]);
+  data.insert(data.end(), 5000, std::byte{0});
+  for (std::size_t i = 0; i < 40000; ++i) {
+    data.push_back(static_cast<std::byte>('a' + rng.next_below(4)));
+  }
+  const auto deflated = png::deflate_fixed(data);
+  EXPECT_EQ(deflated.size(), 49693u);
+  EXPECT_EQ(fnv1a(deflated), 0xb3f3889f0835100eULL)
+      << std::hex << fnv1a(deflated);
+  auto inflated = png::inflate(deflated);
+  ASSERT_TRUE(inflated.ok());
+  EXPECT_TRUE(*inflated == data);
+}
+
+TEST(Png, Crc32ChainsThroughSeed) {
+  // crc32(a || b) continues from crc32(a) through the seed.
+  pal::Rng rng(3);
+  std::vector<std::byte> ab(1000);
+  for (auto& b : ab) b = static_cast<std::byte>(rng.next_below(256));
+  for (const std::size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    const auto a = std::span<const std::byte>(ab).first(cut);
+    const auto b = std::span<const std::byte>(ab).subspan(cut);
+    EXPECT_EQ(png::crc32(b, png::crc32(a) ^ 0xFFFFFFFFu), png::crc32(ab))
+        << "cut=" << cut;
+  }
+}
+
+TEST(Png, Adler32MatchesPerByteModulo) {
+  pal::Rng rng(4);
+  // Adler-32 against the per-byte modulo definition, across the 5552-byte
+  // deferred-modulo block and with all-0xFF input (the overflow worst case).
+  for (const std::size_t n : {0u, 1u, 5551u, 5552u, 5553u, 100000u}) {
+    for (const bool ones : {true, false}) {
+      std::vector<std::byte> data(n, std::byte{0xFF});
+      if (!ones) {
+        for (auto& b : data) b = static_cast<std::byte>(rng.next_below(256));
+      }
+      std::uint32_t s1 = 1, s2 = 0;
+      for (const std::byte b : data) {
+        s1 = (s1 + static_cast<std::uint32_t>(b)) % 65521u;
+        s2 = (s2 + s1) % 65521u;
+      }
+      EXPECT_EQ(png::adler32(data), (s2 << 16) | s1) << "n=" << n;
+    }
+  }
+}
+
 TEST(Png, DecodeRejectsGarbage) {
   std::vector<std::byte> junk(64, std::byte{0x42});
   EXPECT_FALSE(png::decode(junk).ok());
@@ -376,10 +527,10 @@ TEST(Png, DecodeRejectsGarbage) {
 TEST(Png, WriteFile) {
   Image img(8, 8);
   img.clear(Rgba{255, 0, 0, 255});
-  const std::string path = "/tmp/insitu_png_test.png";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("png.png");
   ASSERT_TRUE(png::write_file(path, img).ok());
   EXPECT_GT(std::filesystem::file_size(path), 50u);
-  std::filesystem::remove(path);
 }
 
 TEST(Camera, OrthographicProjectionCentersTarget) {

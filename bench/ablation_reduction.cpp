@@ -85,6 +85,12 @@ ArmResult run_arm(const std::string& label,
   ObsSession* obs = ObsSession::current();
   comm::Runtime::Options options = ablation_options();
   if (sched.has_value()) options.sched.backend = *sched;
+  // The final slice leaves the run as plain pixels: an Image built inside
+  // a rank charges that rank's memory tracker, which Runtime::run frees
+  // on return, so only the calling thread may build out.image.
+  std::vector<render::Rgba> slice_pixels;
+  int slice_width = 0;
+  int slice_height = 0;
 
   out.report = comm::Runtime::run(
       2 * kPairs, options, [&](comm::Communicator& world) {
@@ -132,10 +138,19 @@ ArmResult run_arm(const std::string& label,
               out.bins = hist->last_result().bins;
               for (std::int64_t b : out.bins) out.bin_total += b;
             }
-            if (slice != nullptr) out.image = slice->last_image();
+            if (slice != nullptr) {
+              const render::Image& image = slice->last_image();
+              slice_width = image.width();
+              slice_height = image.height();
+              slice_pixels = image.pixels();
+            }
           }
         }
       });
+  if (!slice_pixels.empty()) {
+    out.image.reset(slice_width, slice_height);
+    out.image.pixels() = std::move(slice_pixels);
+  }
 
   for (const auto& rank : out.report.ranks) {
     out.clocks.push_back(rank.virtual_seconds);

@@ -1,18 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // figure-level benches: histogram binning, autocorrelation updates, slice
 // and isosurface extraction, rasterization, DEFLATE, compositing merges,
-// and the collective rendezvous. These quantify the *real* (wall-clock)
-// cost of the substrate on the host machine, complementing the virtual-
-// clock results.
+// the collective rendezvous, and the fiber scheduler's switch and
+// park/wake round. These quantify the *real* (wall-clock) cost of the
+// substrate on the host machine, complementing the virtual-clock
+// results.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <mutex>
 
 #include "analysis/contour.hpp"
 #include "analysis/histogram.hpp"
 #include "comm/runtime.hpp"
 #include "data/image_data.hpp"
+#include "exec/fiber.hpp"
 #include "io/block_io.hpp"
 #include "kernels/kernels.hpp"
 #include "pal/buffer_pool.hpp"
@@ -520,6 +523,76 @@ void BM_AllreduceRendezvous(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50);
 }
 BENCHMARK(BM_AllreduceRendezvous)->Arg(2)->Arg(8);
+
+// Two fibers on one carrier hand a token back and forth through a
+// WaitSet: every hand-off is one park, one wake and one fiber-to-fiber
+// switch (two stack switches, through the carrier). Reports hand-offs
+// per second as switches/s.
+void BM_FiberSwitch(benchmark::State& state) {
+  constexpr int kHandOffs = 10000;
+  for (auto _ : state) {
+    exec::FiberScheduler::Options options;
+    options.workers = 1;
+    exec::FiberScheduler sched(options);
+    exec::WaitSet ws;
+    std::mutex m;
+    int turn = 0;  // guarded by m
+    for (int me = 0; me < 2; ++me) {
+      sched.spawn([&, me] {
+        std::unique_lock<std::mutex> lock(m);
+        for (int i = 0; i < kHandOffs / 2; ++i) {
+          ws.wait(lock, [&] { return turn % 2 == me; });
+          ++turn;
+          ws.notify_all();
+        }
+      });
+    }
+    sched.run();
+    benchmark::DoNotOptimize(turn);
+  }
+  state.counters["switches/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kHandOffs,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FiberSwitch)->UseRealTime();
+
+// 1,024 fibers on 4 carriers meet once per round: each parks on one
+// WaitSet under the round's key and the last arrival wakes that key.
+// Reports rounds per second (one round = 1,023 parks and wakes).
+void BM_FiberRound(benchmark::State& state) {
+  constexpr int kFibers = 1024;
+  constexpr int kRounds = 20;
+  for (auto _ : state) {
+    exec::FiberScheduler::Options options;
+    options.workers = 4;
+    exec::FiberScheduler sched(options);
+    exec::WaitSet ws;
+    std::mutex m;
+    int arrived = 0;          // guarded by m
+    std::uint64_t round = 0;  // guarded by m
+    for (int f = 0; f < kFibers; ++f) {
+      sched.spawn([&] {
+        std::unique_lock<std::mutex> lock(m);
+        for (int r = 0; r < kRounds; ++r) {
+          const std::uint64_t mine = round;
+          if (++arrived == kFibers) {
+            arrived = 0;
+            ++round;
+            ws.notify_key(mine);
+          } else {
+            ws.wait_key(lock, mine, [&] { return round != mine; });
+          }
+        }
+      });
+    }
+    sched.run();
+    benchmark::DoNotOptimize(round);
+  }
+  state.counters["rounds/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kRounds,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FiberRound)->UseRealTime();
 
 }  // namespace
 

@@ -46,17 +46,19 @@ StatusOr<analysis::TriangleMesh> deserialize_mesh(
   }
   analysis::TriangleMesh mesh;
   std::size_t offset = sizeof nv + sizeof nt;
+  // An empty vector's data() may be null, which memcpy forbids even for
+  // zero bytes.
+  const auto take = [&](void* dst, std::size_t n) {
+    if (n > 0) std::memcpy(dst, bytes.data() + offset, n);
+    offset += n;
+  };
   mesh.vertices.resize(static_cast<std::size_t>(nv));
-  std::memcpy(mesh.vertices.data(), bytes.data() + offset,
-              mesh.vertices.size() * sizeof(data::Vec3));
-  offset += mesh.vertices.size() * sizeof(data::Vec3);
+  take(mesh.vertices.data(), mesh.vertices.size() * sizeof(data::Vec3));
   mesh.scalars.resize(static_cast<std::size_t>(nv));
-  std::memcpy(mesh.scalars.data(), bytes.data() + offset,
-              mesh.scalars.size() * sizeof(double));
-  offset += mesh.scalars.size() * sizeof(double);
+  take(mesh.scalars.data(), mesh.scalars.size() * sizeof(double));
   mesh.triangles.resize(static_cast<std::size_t>(nt));
-  std::memcpy(mesh.triangles.data(), bytes.data() + offset,
-              mesh.triangles.size() * sizeof(std::array<std::int32_t, 3>));
+  take(mesh.triangles.data(),
+       mesh.triangles.size() * sizeof(std::array<std::int32_t, 3>));
   // Validate indices.
   for (const auto& tri : mesh.triangles) {
     for (const std::int32_t v : tri) {

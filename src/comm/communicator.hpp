@@ -112,7 +112,10 @@ class Communicator {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::vector<std::byte> raw = recv(src, tag);
     std::vector<T> values(raw.size() / sizeof(T));
-    std::memcpy(values.data(), raw.data(), values.size() * sizeof(T));
+    // memcpy forbids the null data() of an empty vector.
+    if (!values.empty()) {
+      std::memcpy(values.data(), raw.data(), values.size() * sizeof(T));
+    }
     return values;
   }
 
@@ -190,7 +193,9 @@ class Communicator {
     out.reserve(table->size());
     for (const BlobPtr& blob : *table) {
       std::vector<T> values(blob->size() / sizeof(T));
-      std::memcpy(values.data(), blob->data(), blob->size());
+      if (!values.empty()) {
+        std::memcpy(values.data(), blob->data(), values.size() * sizeof(T));
+      }
       out.push_back(std::move(values));
     }
     return out;
@@ -218,7 +223,9 @@ class Communicator {
     out.reserve(table->size());
     for (const BlobPtr& blob : *table) {
       std::vector<T> values(blob->size() / sizeof(T));
-      std::memcpy(values.data(), blob->data(), blob->size());
+      if (!values.empty()) {
+        std::memcpy(values.data(), blob->data(), values.size() * sizeof(T));
+      }
       out.push_back(std::move(values));
     }
     return out;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 #include "exec/fiber.hpp"
@@ -154,6 +155,7 @@ RunReport Runtime::run(int nranks,
     if (hub != nullptr) hub->unregister_source(hub_source);
   };
 
+  std::optional<exec::FiberScheduler::Stats> sched_stats;  // mn only
   if (options.sched.backend == SchedBackend::kThreads) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks));
@@ -215,6 +217,7 @@ RunReport Runtime::run(int nranks,
       sched.spawn([&, r] { rank_main(r); }, std::move(hooks));
     }
     sched.run();
+    sched_stats = sched.stats();
   }
 
   for (const obs::MetricsSnapshot& snapshot : rank_metrics) {
@@ -249,6 +252,25 @@ RunReport Runtime::run(int nranks,
       add("pool.releases", obs::MetricKind::kCounter,
           static_cast<double>(d.releases));
       obs::merge_into(report.metrics, pool);
+    }
+    if (sched_stats) {
+      // Host-side scheduler activity: differs run to run, unlike every
+      // virtual series, and exists only under sched=mn. Zero counters
+      // are left out, like kernels that were never called.
+      obs::MetricsSnapshot sched;
+      const auto add = [&sched](const char* key, std::uint64_t value) {
+        if (value == 0) return;
+        obs::MetricSample sample;
+        sample.key = key;
+        sample.kind = obs::MetricKind::kCounter;
+        sample.value = static_cast<double>(value);
+        sched.push_back(std::move(sample));
+      };
+      // Key-sorted, like every snapshot merge_into takes.
+      add("exec.sched.idle_waits", sched_stats->idle_waits);
+      add("exec.sched.resumes", sched_stats->resumes);
+      add("exec.sched.steals", sched_stats->steals);
+      obs::merge_into(report.metrics, sched);
     }
     // Publish this run's kernel activity as labeled kernels.* counters,
     // one series per (kernel, variant) pair that was actually called.
@@ -312,6 +334,9 @@ RunReport Runtime::run(int nranks,
                                  std::make_move_iterator(events.end()));
     }
   }
+  // Callers may keep many reports (the service keeps one per session),
+  // so hand the series back without the merges' growth slack.
+  report.metrics.shrink_to_fit();
   return report;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <thread>
 #include <utility>
@@ -13,8 +14,14 @@
 
 #include "exec/task_pool.hpp"
 
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 #if INSITU_EXEC_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+#if INSITU_EXEC_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #endif
 
 namespace insitu::exec {
@@ -164,26 +171,204 @@ void release_stack_block(void* block, std::size_t usable) {
   cache.pooled_bytes += usable;
 }
 
+// ---- context switch ----
+//
+// Two internal functions hide the per-target switch:
+//   make_context(stack, bytes, entry, arg) prepares a context on a fresh
+//     stack that calls entry(arg) (which must never return) and returns
+//     its handle;
+//   switch_context(save, load) stores the running context's handle in
+//     *save and resumes the context `load`.
+// A handle is only valid until its context is resumed.
+
+#if defined(__x86_64__)
+
+// The handle is a stack pointer. switch_context pushes the System V
+// callee-saved registers, MXCSR and the x87 control word on the outgoing
+// stack, swaps stack pointers and pops the same from the incoming one —
+// glibc's swapcontext does that too, plus an rt_sigprocmask syscall on
+// every switch, which fibers never need. A fresh stack starts in
+// insitu_exec_fiber_start with entry in r13 and arg in r12; its
+// `.cfi_undefined rip` makes unwinders stop at the fiber's base.
+extern "C" void insitu_exec_switch(void** save, void* load);
+extern "C" void insitu_exec_fiber_start();
+
+__asm__(R"(
+  .pushsection .text
+  .p2align 4
+  .globl insitu_exec_switch
+  .hidden insitu_exec_switch
+  .type insitu_exec_switch, @function
+insitu_exec_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size insitu_exec_switch, .-insitu_exec_switch
+
+  .p2align 4
+  .globl insitu_exec_fiber_start
+  .hidden insitu_exec_fiber_start
+  .type insitu_exec_fiber_start, @function
+insitu_exec_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size insitu_exec_fiber_start, .-insitu_exec_fiber_start
+  .popsection
+)");
+
+void* make_context(void* stack, std::size_t bytes, void (*entry)(void*),
+                   void* arg) {
+  // The frame insitu_exec_switch pops, lowest address first: x87 control
+  // word, MXCSR, r15, r14, r13, r12, rbx, rbp, return address. The two
+  // words above it keep rsp 16-byte aligned at the trampoline's call.
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack) + bytes) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 11;
+  std::uint16_t fpu_control = 0;
+  std::uint32_t mxcsr = 0;
+  __asm__ volatile("fnstcw %0" : "=m"(fpu_control));
+  __asm__ volatile("stmxcsr %0" : "=m"(mxcsr));
+  frame[0] = fpu_control;  // a new fiber starts in its carrier's FP mode
+  frame[1] = mxcsr;
+  frame[2] = 0;                                          // r15
+  frame[3] = 0;                                          // r14
+  frame[4] = reinterpret_cast<std::uintptr_t>(entry);    // r13
+  frame[5] = reinterpret_cast<std::uintptr_t>(arg);      // r12
+  frame[6] = 0;                                          // rbx
+  frame[7] = 0;                                          // rbp
+  frame[8] = reinterpret_cast<std::uintptr_t>(&insitu_exec_fiber_start);
+  frame[9] = 0;
+  frame[10] = 0;
+  return frame;
+}
+
+inline void switch_context(void** save, void* load) {
+  insitu_exec_switch(save, load);
+}
+
+#else  // !__x86_64__
+
+// The handle is a ucontext_t*. A suspended context lives in the frame of
+// the switch_context call that saved it; a fresh one sits at the top of
+// its own stack, above the part makecontext hands to the fiber.
+
+// makecontext passes only int arguments: pointers travel as 32-bit halves.
+unsigned int high_half(const void* p) {
+  return static_cast<unsigned int>(
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) >> 32);
+}
+unsigned int low_half(const void* p) {
+  return static_cast<unsigned int>(reinterpret_cast<std::uintptr_t>(p) &
+                                   0xffffffffu);
+}
+void* join_halves(unsigned int hi, unsigned int lo) {
+  return reinterpret_cast<void*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo));
+}
+
+void ucontext_start(unsigned int entry_hi, unsigned int entry_lo,
+                    unsigned int arg_hi, unsigned int arg_lo) {
+  auto* entry =
+      reinterpret_cast<void (*)(void*)>(join_halves(entry_hi, entry_lo));
+  entry(join_halves(arg_hi, arg_lo));
+}
+
+void* make_context(void* stack, std::size_t bytes, void (*entry)(void*),
+                   void* arg) {
+  const std::size_t reserve = (sizeof(ucontext_t) + 63) & ~std::size_t{63};
+  auto* context = reinterpret_cast<ucontext_t*>(static_cast<char*>(stack) +
+                                                bytes - reserve);
+  ::getcontext(context);
+  context->uc_stack.ss_sp = stack;
+  context->uc_stack.ss_size = bytes - reserve;
+  context->uc_link = nullptr;  // entry never returns
+  const auto* entry_address = reinterpret_cast<const void*>(entry);
+  ::makecontext(context, reinterpret_cast<void (*)()>(&ucontext_start), 4,
+                high_half(entry_address), low_half(entry_address),
+                high_half(arg), low_half(arg));
+  return context;
+}
+
+void switch_context(void** save, void* load) {
+  ucontext_t here;
+  *save = &here;
+  ::swapcontext(&here, static_cast<ucontext_t*>(load));
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
 Fiber* current_fiber() { return t_current_fiber; }
 
-void Fiber::entry(unsigned int hi, unsigned int lo) {
-  auto* fiber = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
+void Fiber::entry(void* arg) {
+  auto* fiber = static_cast<Fiber*>(arg);
+#if INSITU_EXEC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &fiber->asan_carrier_bottom_,
+                                  &fiber->asan_carrier_size_);
+#endif
   fiber->body_();
   fiber->body_ = nullptr;  // release captured state while still alive
   fiber->state_.store(State::kFinished, std::memory_order_release);
   fiber->suspend();
-  // Unreachable: the carrier never resumes a finished fiber.
+  std::abort();  // unreachable: the carrier never resumes a finished fiber
 }
 
 void Fiber::suspend() {
 #if INSITU_EXEC_TSAN_FIBERS
   __tsan_switch_to_fiber(tsan_parent_, 0);
 #endif
-  ::swapcontext(&context_, return_context_);
+#if INSITU_EXEC_ASAN_FIBERS
+  // A finished fiber passes no fake-stack slot, so ASan frees its frames.
+  const bool finished =
+      state_.load(std::memory_order_relaxed) == State::kFinished;
+  __sanitizer_start_switch_fiber(finished ? nullptr : &asan_fake_stack_,
+                                 asan_carrier_bottom_, asan_carrier_size_);
+#endif
+  switch_context(&context_, carrier_context_);
+#if INSITU_EXEC_ASAN_FIBERS
+  // Resumed, possibly by another carrier: learn that carrier's stack.
+  __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_carrier_bottom_,
+                                  &asan_carrier_size_);
+#endif
 }
 
 // ---- WaitSet ----
@@ -245,6 +430,31 @@ void WaitSet::notify_key(std::uint64_t key) {
 
 // ---- FiberScheduler ----
 
+/// One carrier's run queue and counters. The queue is shared (wakers
+/// push, thieves pop) and guarded by `mutex`; the counters are written
+/// only by the owning carrier thread.
+struct alignas(64) FiberScheduler::Carrier {
+  std::mutex mutex;
+  std::deque<Fiber*> ready;
+  Stats stats;
+
+  Fiber* pop_front() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (ready.empty()) return nullptr;
+    Fiber* fiber = ready.front();
+    ready.pop_front();
+    return fiber;
+  }
+
+  Fiber* pop_back() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (ready.empty()) return nullptr;
+    Fiber* fiber = ready.back();
+    ready.pop_back();
+    return fiber;
+  }
+};
+
 FiberScheduler::FiberScheduler() : FiberScheduler(Options{}) {}
 
 FiberScheduler::FiberScheduler(Options options) {
@@ -264,66 +474,104 @@ void FiberScheduler::spawn(std::function<void()> body, Hooks hooks) {
   fiber->on_resume_ = std::move(hooks.on_resume);
   fiber->on_suspend_ = std::move(hooks.on_suspend);
   fiber->scheduler_ = this;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ready_.push_back(fiber.get());
   fibers_.push_back(std::move(fiber));
 }
 
 void FiberScheduler::run() {
   if (fibers_.empty()) return;
   guard_stacks_ = fibers_.size() < kGuardlessFiberThreshold;
-  const int carriers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(workers_), fibers_.size()));
-  carriers_ = std::make_unique<TaskPool>(carriers);
-  for (int i = 0; i < carriers; ++i) {
-    carriers_->submit([this] { carrier_main(); });
+  const std::size_t n = fibers_.size();
+  const std::size_t carriers =
+      std::min<std::size_t>(static_cast<std::size_t>(workers_), n);
+  // Home blocks: spawn index i lives on carrier i * carriers / n, so
+  // neighbouring ranks — which meet in the same collective leaf slot —
+  // run on the same carrier instead of contending across carriers.
+  for (std::size_t c = 0; c < carriers; ++c) {
+    queues_.push_back(std::make_unique<Carrier>());
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return finished_ == fibers_.size(); });
-  stop_ = true;
-  ready_cv_.notify_all();
-  lock.unlock();
-  carriers_->shutdown();
+  for (std::size_t i = 0; i < n; ++i) {
+    Fiber& fiber = *fibers_[i];
+    fiber.home_ = static_cast<int>(i * carriers / n);
+    queues_[static_cast<std::size_t>(fiber.home_)]->ready.push_back(&fiber);
+  }
+  carriers_ = std::make_unique<TaskPool>(static_cast<int>(carriers));
+  for (std::size_t c = 0; c < carriers; ++c) {
+    carriers_->submit([this, c] { carrier_main(static_cast<int>(c)); });
+  }
+  carriers_->shutdown();  // returns once every carrier saw stop_
   carriers_.reset();
+  for (const auto& queue : queues_) {
+    stats_.resumes += queue->stats.resumes;
+    stats_.steals += queue->stats.steals;
+    stats_.idle_waits += queue->stats.idle_waits;
+  }
 }
 
-void FiberScheduler::carrier_main() {
+void FiberScheduler::carrier_main(int index) {
+  Carrier& own = *queues_[static_cast<std::size_t>(index)];
   for (;;) {
-    Fiber* fiber = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ready_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // stop_ set and nothing runnable
-      fiber = ready_.front();
-      ready_.pop_front();
-    }
+    Fiber* fiber = own.pop_front();
+    if (fiber == nullptr) fiber = steal(index);
+    if (fiber == nullptr) fiber = wait_for_work(index);
+    if (fiber == nullptr) return;  // every fiber finished
+    ++own.stats.resumes;
     resume(fiber);
   }
 }
 
+Fiber* FiberScheduler::steal(int thief) {
+  // Take from the back: the owner pops the front, so thief and owner
+  // work on opposite ends of the victim's rank block.
+  const std::size_t carriers = queues_.size();
+  const auto self = static_cast<std::size_t>(thief);
+  for (std::size_t k = 1; k < carriers; ++k) {
+    if (Fiber* fiber = queues_[(self + k) % carriers]->pop_back()) {
+      ++queues_[self]->stats.steals;
+      return fiber;
+    }
+  }
+  return nullptr;
+}
+
+Fiber* FiberScheduler::wait_for_work(int index) {
+  Carrier& own = *queues_[static_cast<std::size_t>(index)];
+  std::unique_lock<std::mutex> lock(idle_mutex_);
+  // Count in before re-checking the queues. An enqueuer pushes, then
+  // reads sleepers_; whichever of the two queue-mutex critical sections
+  // runs second sees the other side's write, so either this re-check
+  // finds the fiber or the enqueuer sees a sleeper and notifies — which
+  // it can only do once this carrier is waiting, because it must take
+  // idle_mutex_ first.
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  Fiber* fiber = nullptr;
+  while (!stop_) {
+    fiber = own.pop_front();
+    if (fiber == nullptr) fiber = steal(index);
+    if (fiber != nullptr) break;
+    ++own.stats.idle_waits;
+    idle_cv_.wait(lock);
+  }
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  return fiber;
+}
+
 void FiberScheduler::resume(Fiber* fiber) {
-  if (fiber->stack_block_ == nullptr) {
+  if (fiber->context_ == nullptr) {
     // First run: allocate the stack and arm the entry trampoline.
     fiber->stack_bytes_ = stack_bytes_;
     fiber->stack_block_ = acquire_stack_block(stack_bytes_, guard_stacks_);
-    ::getcontext(&fiber->context_);
-    fiber->context_.uc_stack.ss_sp =
-        static_cast<char*>(fiber->stack_block_) + page_size();
-    fiber->context_.uc_stack.ss_size = stack_bytes_;
-    fiber->context_.uc_link = nullptr;  // explicit switch-back only
-    const auto addr = reinterpret_cast<std::uintptr_t>(fiber);
-    ::makecontext(&fiber->context_, reinterpret_cast<void (*)()>(&Fiber::entry),
-                  2, static_cast<unsigned int>(addr >> 32),
-                  static_cast<unsigned int>(addr & 0xffffffffu));
+    void* stack = static_cast<char*>(fiber->stack_block_) + page_size();
+#if INSITU_EXEC_ASAN_FIBERS
+    // A recycled stack still carries the poisoned redzones of frames its
+    // last fiber never returned from.
+    __asan_unpoison_memory_region(stack, stack_bytes_);
+#endif
+    fiber->context_ = make_context(stack, stack_bytes_, &Fiber::entry, fiber);
 #if INSITU_EXEC_TSAN_FIBERS
     fiber->tsan_fiber_ = __tsan_create_fiber(0);
 #endif
   }
 
-  ucontext_t carrier_context;
-  // Fibers migrate between carriers: the return path must be the context
-  // of *this* resume call, never a stale one from a previous carrier.
-  fiber->return_context_ = &carrier_context;
   fiber->state_.store(Fiber::State::kRunning, std::memory_order_relaxed);
   if (fiber->on_resume_) fiber->on_resume_();
   t_current_fiber = fiber;
@@ -331,7 +579,18 @@ void FiberScheduler::resume(Fiber* fiber) {
   fiber->tsan_parent_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(fiber->tsan_fiber_, 0);
 #endif
-  ::swapcontext(&carrier_context, &fiber->context_);
+#if INSITU_EXEC_ASAN_FIBERS
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(
+      &fake_stack, static_cast<char*>(fiber->stack_block_) + page_size(),
+      fiber->stack_bytes_);
+#endif
+  // Fibers migrate between carriers: the fiber switches back to the
+  // context saved here, never a stale one from a previous carrier.
+  switch_context(&fiber->carrier_context_, fiber->context_);
+#if INSITU_EXEC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
   // Back on the carrier: the fiber either parked or finished.
   t_current_fiber = nullptr;
   if (fiber->on_suspend_) fiber->on_suspend_();
@@ -344,8 +603,12 @@ void FiberScheduler::resume(Fiber* fiber) {
 #endif
     release_stack_block(fiber->stack_block_, fiber->stack_bytes_);
     fiber->stack_block_ = nullptr;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (++finished_ == fibers_.size()) done_cv_.notify_all();
+    if (finished_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        fibers_.size()) {
+      std::lock_guard<std::mutex> lock(idle_mutex_);
+      stop_ = true;
+      idle_cv_.notify_all();
+    }
     return;
   }
 
@@ -387,9 +650,15 @@ void FiberScheduler::wake(Fiber* fiber) {
 }
 
 void FiberScheduler::enqueue(Fiber* fiber) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ready_.push_back(fiber);
-  ready_cv_.notify_one();
+  Carrier& home = *queues_[static_cast<std::size_t>(fiber->home_)];
+  {
+    std::lock_guard<std::mutex> lock(home.mutex);
+    home.ready.push_back(fiber);
+  }
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    idle_cv_.notify_one();
+  }
 }
 
 std::size_t FiberScheduler::pooled_stack_bytes() {

@@ -10,12 +10,22 @@
 // with no matching message, a collective rendezvous that is not yet
 // complete — and then *parks*: it registers itself with the WaitSet
 // guarding the condition, switches back to its carrier worker, and the
-// worker picks up the next runnable fiber. When the condition is
-// notified the fiber re-enters the ready queue and resumes on whichever
-// worker frees up first (fibers migrate between carriers; the runtime
-// moves a rank's thread-local state — observability context, memory
-// tracker adoption, log label — along with it via the resume/suspend
-// hooks).
+// worker picks up the next runnable fiber.
+//
+// Run queues: every carrier owns one. run() homes spawn index i on
+// carrier i * carriers / n, so each carrier holds a contiguous block of
+// ranks (which lines up with the collective engine's 64-rank leaf
+// slots), and a woken fiber always re-enters its home queue. A carrier
+// pops its own queue first and steals from the others only when it runs
+// dry; only a carrier that finds every queue empty sleeps. Fibers still
+// migrate (through steals), so the runtime moves a rank's thread-local
+// state — observability context, memory tracker adoption, log label —
+// along with it via the resume/suspend hooks.
+//
+// Context switch: on x86-64 a few instructions of assembly save the
+// callee-saved registers, MXCSR and the x87 control word on the
+// outgoing stack and swap stack pointers — no signal-mask syscall, unlike
+// glibc's swapcontext, which remains the switch on other targets.
 //
 // This is what lets the full pipeline — collectives, compositing
 // ladders, in transit staging — really *execute* at 10K+ virtual ranks
@@ -39,7 +49,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,17 +56,26 @@
 #include <utility>
 #include <vector>
 
-#include <ucontext.h>
-
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define INSITU_EXEC_TSAN_FIBERS 1
 #endif
-#elif defined(__SANITIZE_THREAD__)
+#if __has_feature(address_sanitizer)
+#define INSITU_EXEC_ASAN_FIBERS 1
+#endif
+#else
+#if defined(__SANITIZE_THREAD__)
 #define INSITU_EXEC_TSAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define INSITU_EXEC_ASAN_FIBERS 1
+#endif
 #endif
 #ifndef INSITU_EXEC_TSAN_FIBERS
 #define INSITU_EXEC_TSAN_FIBERS 0
+#endif
+#ifndef INSITU_EXEC_ASAN_FIBERS
+#define INSITU_EXEC_ASAN_FIBERS 0
 #endif
 
 namespace insitu::exec {
@@ -81,23 +99,24 @@ class Fiber {
   friend class WaitSet;
 
   enum class State : int {
-    kReady,    ///< in the ready queue (or about to be enqueued by owner)
+    kReady,    ///< in a run queue (or about to be enqueued by owner)
     kRunning,  ///< executing on a carrier worker
     kParking,  ///< announced a park; still unwinding onto its carrier
     kParked,   ///< fully switched out; a waker may enqueue it
     kFinished  ///< body returned
   };
 
-  /// makecontext entry point (the Fiber* arrives split across two ints).
-  static void entry(unsigned int hi, unsigned int lo);
+  /// First code a fiber runs on its own stack (`fiber` is the Fiber*).
+  [[noreturn]] static void entry(void* fiber);
 
   /// Switch from the fiber back to its carrier. Must be called on the
   /// fiber, with no locks held, after state_ was set to kParking (or
   /// kFinished by entry()).
   void suspend();
 
-  ucontext_t context_;                    // where the fiber last left off
-  ucontext_t* return_context_ = nullptr;  // the current carrier's context
+  void* context_ = nullptr;          // where the fiber last left off
+  void* carrier_context_ = nullptr;  // where the hosting carrier left off
+  int home_ = 0;                     // index of the home carrier's queue
   std::atomic<State> state_{State::kReady};
   std::function<void()> body_;
   std::function<void()> on_resume_;   // carrier-side, before switch-in
@@ -111,6 +130,13 @@ class Fiber {
   // thread interleaving unrelated stacks and reports phantom races.
   void* tsan_fiber_ = nullptr;   // this fiber's TSan identity
   void* tsan_parent_ = nullptr;  // the hosting carrier's TSan identity
+#endif
+#if INSITU_EXEC_ASAN_FIBERS
+  // ASan tracks the current stack's bounds; every switch announces the
+  // stack it enters and the fiber learns its carrier's bounds from it.
+  void* asan_fake_stack_ = nullptr;
+  const void* asan_carrier_bottom_ = nullptr;
+  std::size_t asan_carrier_size_ = 0;
 #endif
 };
 
@@ -224,10 +250,20 @@ class FiberScheduler {
   /// Number of fibers spawned so far.
   std::size_t size() const { return fibers_.size(); }
 
-  /// Make a parked (or parking) fiber runnable again. Called by
-  /// WaitSet::notify_all; safe from any thread. Calls on fibers that are
-  /// already ready/running/finished are ignored.
+  /// Make a parked (or parking) fiber runnable again on its home queue.
+  /// Called by WaitSet::notify_all; safe from any thread. Calls on fibers
+  /// that are already ready/running/finished are ignored.
   void wake(Fiber* fiber);
+
+  /// Scheduler counters, summed over the carriers. Each carrier counts in
+  /// plain integers of its own; run() adds them up after the carriers
+  /// have joined, so read them after run() returns.
+  struct Stats {
+    std::uint64_t resumes = 0;     ///< switches into a fiber
+    std::uint64_t steals = 0;      ///< fibers taken from another queue
+    std::uint64_t idle_waits = 0;  ///< sleeps with every queue empty
+  };
+  const Stats& stats() const { return stats_; }
 
   /// Stacks parked in the process-wide free list, in bytes (test hook).
   static std::size_t pooled_stack_bytes();
@@ -236,7 +272,11 @@ class FiberScheduler {
   friend class Fiber;
   friend class WaitSet;
 
-  void carrier_main();
+  struct Carrier;
+
+  void carrier_main(int index);
+  Fiber* steal(int thief);
+  Fiber* wait_for_work(int index);
   void resume(Fiber* fiber);
   void enqueue(Fiber* fiber);
 
@@ -247,14 +287,19 @@ class FiberScheduler {
   // would exhaust vm.max_map_count (see fiber.cpp).
   bool guard_stacks_ = true;
 
-  std::mutex mutex_;
-  std::condition_variable ready_cv_;  // carriers: a fiber is runnable
-  std::condition_variable done_cv_;   // run(): all fibers finished
-  std::deque<Fiber*> ready_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::size_t finished_ = 0;
-  bool stop_ = false;
+  std::vector<std::unique_ptr<Carrier>> queues_;  // one per carrier
+  std::atomic<std::size_t> finished_{0};
 
+  // Idle carriers sleep on idle_cv_. An enqueuer notifies only when
+  // sleepers_ > 0; a sleeper counts itself in and re-checks every queue
+  // under idle_mutex_ before it waits, so no wakeup is lost.
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  std::atomic<int> sleepers_{0};
+  bool stop_ = false;  // under idle_mutex_: every fiber finished
+
+  Stats stats_;
   std::unique_ptr<TaskPool> carriers_;
 };
 

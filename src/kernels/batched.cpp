@@ -302,7 +302,7 @@ void b_delta_decode(const std::uint64_t* delta, const double* prev,
 
 std::int64_t b_subsample_gather(const double* x, std::int64_t n_tuples,
                                 int components, int stride, double* out) {
-  if (stride == 1) {
+  if (stride == 1 && n_tuples > 0) {  // empty: pointers may be null
     std::memcpy(out, x,
                 static_cast<std::size_t>(n_tuples) *
                     static_cast<std::size_t>(components) * sizeof(double));
@@ -319,7 +319,7 @@ std::int64_t b_subsample_gather(const double* x, std::int64_t n_tuples,
 
 void b_subsample_expand(const double* kept, std::int64_t n_tuples,
                         int components, int stride, double* out) {
-  if (stride == 1) {
+  if (stride == 1 && n_tuples > 0) {  // empty: pointers may be null
     std::memcpy(out, kept,
                 static_cast<std::size_t>(n_tuples) *
                     static_cast<std::size_t>(components) * sizeof(double));

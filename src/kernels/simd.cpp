@@ -464,7 +464,7 @@ std::int64_t s_subsample_gather(const double* x, std::int64_t n_tuples,
                                 int components, int stride, double* out) {
   // Pure copies; the memcpy fast paths match the scalar reference
   // bit-for-bit by construction.
-  if (stride == 1) {
+  if (stride == 1 && n_tuples > 0) {  // empty: pointers may be null
     std::memcpy(out, x,
                 static_cast<std::size_t>(n_tuples) *
                     static_cast<std::size_t>(components) * sizeof(double));
@@ -481,7 +481,7 @@ std::int64_t s_subsample_gather(const double* x, std::int64_t n_tuples,
 
 void s_subsample_expand(const double* kept, std::int64_t n_tuples,
                         int components, int stride, double* out) {
-  if (stride == 1) {
+  if (stride == 1 && n_tuples > 0) {  // empty: pointers may be null
     std::memcpy(out, kept,
                 static_cast<std::size_t>(n_tuples) *
                     static_cast<std::size_t>(components) * sizeof(double));

@@ -1,17 +1,24 @@
 // M:N scheduler tests: rank-count > worker-count multiplexing,
 // threads/mn result equivalence, seed-replay determinism, large-rank
 // collective completion, thread-local migration (spans, memory
-// trackers), and the bench-side ranks=/sched= parsing. The whole binary
-// also runs under the TSan CI job; SchedTest.TsanStressManyRanksFewWorkers
-// is the dedicated data-race stressor.
+// trackers), fiber edge cases (exceptions, floating-point mode, stack
+// alignment and depth), scheduler counters, and the bench-side
+// ranks=/sched= parsing. The whole binary also runs (repeated) under the
+// TSan CI job; SchedTest.TsanStressManyRanksFewWorkers and
+// SchedTest.StealAndCrossCarrierWakeStress are the dedicated stressors.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,6 +208,311 @@ TEST(SchedTest, FiberStacksAreRecycled) {
   // The second run reuses the first run's stacks instead of growing the
   // pool.
   EXPECT_EQ(exec::FiberScheduler::pooled_stack_bytes(), before);
+}
+
+/// A counter's value; 0 when the series is absent (zero counters are
+/// not published).
+double metric_value(const RunReport& report, const std::string& key) {
+  for (const obs::MetricSample& sample : report.metrics) {
+    if (sample.key == key) return sample.value;
+  }
+  return 0.0;
+}
+
+TEST(SchedTest, SchedulerCountersPublishedUnderMn) {
+  const int ranks = 64;
+  for (const int workers : {4, 1}) {
+    std::atomic<int> failures{0};
+    const RunReport report =
+        Runtime::run(ranks, mn_options(workers), [&](Communicator& comm) {
+          mixed_workload(comm, nullptr, &failures);
+        });
+    EXPECT_EQ(failures.load(), 0);
+    // Every fiber is switched into at least once.
+    EXPECT_GE(metric_value(report, "exec.sched.resumes"), ranks)
+        << "workers=" << workers;
+    if (workers == 1) {
+      EXPECT_EQ(metric_value(report, "exec.sched.steals"), 0.0);
+    }
+  }
+  Runtime::Options threads;
+  threads.sched.backend = SchedBackend::kThreads;
+  const RunReport report =
+      Runtime::run(4, threads, [](Communicator& comm) { comm.barrier(); });
+  for (const obs::MetricSample& sample : report.metrics) {
+    EXPECT_NE(sample.key.rfind("exec.sched.", 0), 0u) << sample.key;
+  }
+}
+
+// ---- fiber edge cases, driven on the scheduler directly ----
+
+exec::FiberScheduler::Options four_carriers() {
+  exec::FiberScheduler::Options options;
+  options.workers = 4;
+  return options;
+}
+
+void spin_for(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Reusable rendezvous for fibers: every arrival but the last parks on
+/// the WaitSet until the generation turns over.
+class FiberBarrier {
+ public:
+  explicit FiberBarrier(int parties) : parties_(parties) {}
+
+  void arrive_and_wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const long generation = generation_;
+    if (++arrived_ == parties_) {
+      arrived_ = 0;
+      ++generation_;
+      waiters_.notify_all();
+      return;
+    }
+    waiters_.wait(lock, [&] { return generation_ != generation; });
+  }
+
+ private:
+  const int parties_;
+  std::mutex mutex_;
+  exec::WaitSet waiters_;
+  int arrived_ = 0;
+  long generation_ = 0;
+};
+
+// A fiber parks until it resumes on a different carrier thread, then
+// throws and catches: the unwinder must walk a stack that was switched
+// out on one thread and back in on another.
+TEST(FiberEdgeCases, ExceptionCaughtAfterMigration) {
+  constexpr int kFibers = 16;  // fibers 0..3 share carrier 0's home block
+  exec::FiberScheduler sched(four_carriers());
+  exec::WaitSet ws;
+  std::mutex m;
+  long tick = 0;  // guarded by m
+  std::atomic<bool> done{false};
+  bool migrated = false;
+  std::string caught;
+  // Written by the carrier right before each switch-in (a fiber cannot
+  // ask for its own thread id: pthread_self() is a const function, so
+  // the compiler may reuse a value read before a migration).
+  std::vector<std::thread::id> carrier(kFibers);
+
+  const auto park_once = [&] {
+    std::unique_lock<std::mutex> lock(m);
+    const long seen = tick;
+    ws.wait(lock, [&] { return tick != seen || done.load(); });
+  };
+  for (int i = 0; i < kFibers; ++i) {
+    exec::FiberScheduler::Hooks hooks;
+    hooks.on_resume = [&carrier, i] {
+      carrier[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    };
+    sched.spawn(
+        [&, i] {
+          if (i == 0) {
+            const std::thread::id first = carrier[0];
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (carrier[0] == first &&
+                   std::chrono::steady_clock::now() < deadline) {
+              park_once();
+            }
+            migrated = carrier[0] != first;
+            try {
+              throw std::runtime_error("after migration");
+            } catch (const std::runtime_error& e) {
+              caught = e.what();
+            }
+            done = true;
+          } else if (i < 4) {
+            // Keep the home carrier busy so a woken fiber 0 waits in its
+            // queue and an idle carrier steals it.
+            while (!done.load()) {
+              spin_for(std::chrono::microseconds(100));
+              park_once();
+            }
+          }
+        },
+        std::move(hooks));
+  }
+  std::thread ticker([&] {
+    while (!done.load()) {
+      {
+        std::lock_guard<std::mutex> lock(m);
+        ++tick;
+        ws.notify_all();
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    std::lock_guard<std::mutex> lock(m);
+    ws.notify_all();
+  });
+  sched.run();
+  ticker.join();
+  EXPECT_TRUE(migrated);
+  EXPECT_EQ(caught, "after migration");
+}
+
+// The floating-point mode is part of a fiber's context: a fiber that
+// switches to upward rounding keeps it across parks and migrations, and
+// neither its carriers nor the other fibers ever see it.
+TEST(FiberEdgeCases, RoundingModeStaysWithItsFiber) {
+  constexpr int kFibers = 16;
+  constexpr int kRounds = 20;
+  exec::FiberScheduler sched(four_carriers());
+  FiberBarrier barrier(kFibers);
+  std::atomic<int> carrier_leaks{0};
+  std::atomic<int> fiber_errors{0};
+  // SSE division reads MXCSR; fegetround() reads the x87 control word.
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+  for (int i = 0; i < kFibers; ++i) {
+    exec::FiberScheduler::Hooks hooks;
+    const auto check_carrier = [&] {
+      if (std::fegetround() != FE_TONEAREST || one / three != nearest_third) {
+        ++carrier_leaks;
+      }
+    };
+    hooks.on_resume = check_carrier;
+    hooks.on_suspend = check_carrier;
+    sched.spawn(
+        [&, i] {
+          const bool upward = i % 2 == 0;
+          if (upward) std::fesetround(FE_UPWARD);
+          for (int r = 0; r < kRounds; ++r) {
+            barrier.arrive_and_wait();
+            const double third = one / three;
+            if (std::fegetround() != (upward ? FE_UPWARD : FE_TONEAREST) ||
+                (upward ? third <= nearest_third : third != nearest_third)) {
+              ++fiber_errors;
+            }
+          }
+          // Finish in upward mode: the final switch-out must restore the
+          // carrier's own mode too.
+        },
+        std::move(hooks));
+  }
+  sched.run();
+  EXPECT_EQ(carrier_leaks.load(), 0);
+  EXPECT_EQ(fiber_errors.load(), 0);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+/// Formats through snprintf with `pad` bytes of this frame in use below
+/// the caller, so the call runs near the bottom of a fiber stack.
+[[gnu::noinline]] std::string format_below_pad() {
+  volatile char pad[200 * 1024];
+  for (std::size_t i = 0; i < sizeof pad; i += 4096) pad[i] = 1;
+  pad[sizeof pad - 1] = 1;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%f", 3.25 + pad[0] - 1);
+  return buf;
+}
+
+// printf's %f path uses aligned SSE stores on the stack: a misaligned
+// initial frame crashes it in a fresh fiber, and a stack that is smaller
+// than advertised crashes it in a deep one (256 KiB default, ~200 KiB
+// used).
+TEST(FiberEdgeCases, SnprintfOnFreshAndDeepStacks) {
+  exec::FiberScheduler sched(four_carriers());
+  std::string fresh;
+  std::string deep;
+  sched.spawn([&] {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%f", 2.5);
+    fresh = buf;
+  });
+  sched.spawn([&] { deep = format_below_pad(); });
+  sched.run();
+  EXPECT_EQ(fresh, "2.500000");
+  EXPECT_EQ(deep, "3.250000");
+}
+
+// Home block 0 computes without parking while every other rank parks
+// and wakes repeatedly. Fiber 0 spins until the rest of its home block
+// has finished, which only a steal by another carrier can bring about.
+// Half of the parking ranks ping-pong with a partner fiber; the other
+// half are woken only by plain threads, often while every carrier is
+// asleep, so a lost wakeup between queues, sleepers and threads hangs
+// the run.
+TEST(SchedTest, StealAndCrossCarrierWakeStress) {
+  constexpr int kFibers = 64;
+  constexpr int kBlock = 16;  // home block of carrier 0 (64 fibers / 4)
+  constexpr int kRounds = 30;
+  exec::FiberScheduler sched(four_carriers());
+  exec::WaitSet ws;
+  std::mutex m;
+  std::vector<char> waiting(kFibers, 0);  // guarded by m
+  std::vector<char> granted(kFibers, 0);  // guarded by m
+  std::atomic<int> block_done{0};
+  std::atomic<int> parkers_done{0};
+  std::atomic<bool> block_ok{true};
+  const auto thread_woken = [](int rank) { return (rank / 2) % 2 == 1; };
+
+  // Caller holds m.
+  const auto grant = [&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    if (waiting[r] != 0 && granted[r] == 0) {
+      granted[r] = 1;
+      ws.notify_key(static_cast<std::uint64_t>(rank));
+    }
+  };
+  for (int i = 0; i < kBlock; ++i) {
+    sched.spawn([&, i] {
+      spin_for(std::chrono::microseconds(200));
+      if (i != 0) {
+        ++block_done;
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (block_done.load() < kBlock - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+      if (block_done.load() < kBlock - 1) block_ok = false;
+    });
+  }
+  for (int i = kBlock; i < kFibers; ++i) {
+    sched.spawn([&, i] {
+      const auto me = static_cast<std::size_t>(i);
+      for (int r = 0; r < kRounds; ++r) {
+        std::unique_lock<std::mutex> lock(m);
+        if (!thread_woken(i)) grant(i ^ 1);
+        waiting[me] = 1;
+        ws.wait_key(lock, static_cast<std::uint64_t>(i),
+                    [&] { return granted[me] != 0; });
+        granted[me] = 0;
+        waiting[me] = 0;
+      }
+      ++parkers_done;
+    });
+  }
+  // Threads grant every waiting rank: the only wakes the thread-woken
+  // half gets, and the last wake of each ping-pong pair.
+  std::vector<std::thread> wakers;
+  for (int t = 0; t < 2; ++t) {
+    wakers.emplace_back([&, t] {
+      while (parkers_done.load() < kFibers - kBlock) {
+        {
+          std::lock_guard<std::mutex> lock(m);
+          for (int i = kBlock + t; i < kFibers; i += 2) grant(i);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+  }
+  sched.run();
+  for (auto& waker : wakers) waker.join();
+  EXPECT_TRUE(block_ok.load());
+  EXPECT_EQ(parkers_done.load(), kFibers - kBlock);
+  EXPECT_GT(sched.stats().steals, 0u);
+  EXPECT_GT(sched.stats().idle_waits, 0u);
+  EXPECT_GE(sched.stats().resumes, static_cast<std::uint64_t>(kFibers));
 }
 
 // Keyed-wakeup semantics of exec::WaitSet on the plain-thread path (the

@@ -401,8 +401,18 @@ void BM_KernelOscillator(benchmark::State& state) {
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["calls/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KernelOscillator)->ArgsProduct({{0, 1, 2}, {1 << 12}});
+// Short rows, as the oscillator field makes them (one call per x-row per
+// oscillator): the per-call dispatch and counting cost shows, and at 4
+// threads so would any counter cache line the callers share.
+BENCHMARK(BM_KernelOscillator)
+    ->Args({2, 32})
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 void BM_KernelVexp(benchmark::State& state) {
   use_variant(state);

@@ -298,6 +298,20 @@ class Communicator {
   };
   static constexpr int kNumCollOps = 6;
   CollMetricHandles coll_metrics_[kNumCollOps];
+
+  // comm.bytes_sent{op=...} handles for the collectives, bound lazily
+  // like the p2p handles above; indexed by CollBytesOp.
+  enum CollBytesOp {
+    kBytesBcast,
+    kBytesReduce,
+    kBytesAllreduce,
+    kBytesGather,
+    kBytesAllgather,
+    kNumCollBytesOps,
+  };
+  /// Bytes contributed to a collective by the calling rank.
+  obs::Counter& collective_bytes(CollBytesOp op);
+  obs::Counter* coll_bytes_[kNumCollBytesOps] = {};
 };
 
 }  // namespace insitu::comm

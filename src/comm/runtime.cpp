@@ -56,13 +56,17 @@ RunReport Runtime::run(int nranks,
   // Buffer-pool counters live in pal (which cannot see obs, so the pool
   // cannot publish its own metrics); snapshot them here and publish this
   // run's delta as pool.* series after the join. A tenant partition
-  // replaces the process pool for the whole job. Same story for the
-  // kernel-dispatch counters: the kernels layer sits below obs.
+  // replaces the process pool for the whole job. The kernel-dispatch
+  // counters also live below obs, but they are per thread: every rank
+  // thread adopts this run's sink, and under sched=mn the carriers (and,
+  // under both backends, TaskPool helpers such as parallel_for chunks)
+  // inherit it from the thread that submits them, so concurrent runs
+  // each count only their own dispatches.
   pal::BufferPool& run_pool = options.tenant.pool != nullptr
                                   ? *options.tenant.pool
                                   : pal::buffer_pool();
   const pal::BufferPoolStats pool_start = run_pool.stats();
-  const kernels::StatsSnapshot kernels_start = kernels::stats_snapshot();
+  kernels::StatsSink run_kernels;
 
   std::shared_ptr<detail::Group> world = detail::make_group(nranks);
   std::mutex failure_mutex;
@@ -161,6 +165,7 @@ RunReport Runtime::run(int nranks,
     threads.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       threads.emplace_back([&, r] {
+        kernels::ScopedStatsSink charge(&run_kernels);
         pal::ScopedMemoryTracker adopt(&trackers[static_cast<std::size_t>(r)]);
         pal::ScopedBufferPool adopt_pool(options.tenant.pool);  // null: no-op
         rank_main(r);
@@ -216,7 +221,11 @@ RunReport Runtime::run(int nranks,
       };
       sched.spawn([&, r] { rank_main(r); }, std::move(hooks));
     }
-    sched.run();
+    {
+      // The carriers are TaskPool workers submitted from this thread.
+      kernels::ScopedStatsSink charge(&run_kernels);
+      sched.run();
+    }
     sched_stats = sched.stats();
   }
 
@@ -274,13 +283,12 @@ RunReport Runtime::run(int nranks,
     }
     // Publish this run's kernel activity as labeled kernels.* counters,
     // one series per (kernel, variant) pair that was actually called.
-    const kernels::StatsSnapshot kernels_now = kernels::stats_snapshot();
+    const kernels::StatsSnapshot run_stats = run_kernels.snapshot();
     obs::MetricsSnapshot kern;
     for (int k = 0; k < kernels::kNumKernels; ++k) {
       for (int v = 0; v < kernels::kNumVariants; ++v) {
-        const kernels::KernelStats& before = kernels_start.s[k][v];
-        const kernels::KernelStats& now = kernels_now.s[k][v];
-        if (now.calls == before.calls) continue;
+        const kernels::KernelStats& now = run_stats.s[k][v];
+        if (now.calls == 0) continue;
         const std::string labels =
             std::string("{kernel=") +
             kernels::kernel_name(static_cast<kernels::KernelId>(k)) +
@@ -295,10 +303,9 @@ RunReport Runtime::run(int nranks,
           sample.value = value;
           kern.push_back(std::move(sample));
         };
-        add("kernels.bytes", static_cast<double>(now.bytes - before.bytes));
-        add("kernels.calls", static_cast<double>(now.calls - before.calls));
-        add("kernels.elements",
-            static_cast<double>(now.elements - before.elements));
+        add("kernels.bytes", static_cast<double>(now.bytes));
+        add("kernels.calls", static_cast<double>(now.calls));
+        add("kernels.elements", static_cast<double>(now.elements));
       }
     }
     if (!kern.empty()) {

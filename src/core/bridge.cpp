@@ -38,24 +38,34 @@ StatusOr<bool> InSituBridge::execute(DataAdaptor& adaptor, double time,
   adaptor.set_communicator(comm_);
   adaptor.set_time(time, step);
 
+  // Analyses added since the last execute get unbound slots.
+  backend_execute_seconds_.resize(analyses_.size(), nullptr);
+
   obs::TraceScope span(obs::Category::kBridge, "bridge.execute");
   span.arg("step", static_cast<double>(step));
   const double start = comm_->clock().now();
   bool keep_running = true;
-  for (const auto& analysis : analyses_) {
+  for (std::size_t i = 0; i < analyses_.size(); ++i) {
+    const AnalysisAdaptorPtr& analysis = analyses_[i];
     obs::TraceScope backend_span(obs::Category::kBackend,
                                  "backend.execute:" + analysis->name());
     const double t0 = comm_->clock().now();
     INSITU_ASSIGN_OR_RETURN(bool cont, analysis->execute(adaptor));
-    obs::metrics()
-        .histogram("backend.execute.seconds", {{"backend", analysis->name()}})
-        .record(comm_->clock().now() - t0);
+    obs::Histogram*& seconds = backend_execute_seconds_[i];
+    if (seconds == nullptr) {
+      seconds = &obs::metrics().histogram("backend.execute.seconds",
+                                          {{"backend", analysis->name()}});
+    }
+    seconds->record(comm_->clock().now() - t0);
     keep_running = keep_running && cont;
   }
   INSITU_RETURN_IF_ERROR(adaptor.release_data());
   const double elapsed = comm_->clock().now() - start;
   timings_.analysis_per_step.add(elapsed);
-  obs::metrics().histogram("bridge.execute.seconds").record(elapsed);
+  if (execute_seconds_ == nullptr) {
+    execute_seconds_ = &obs::metrics().histogram("bridge.execute.seconds");
+  }
+  execute_seconds_->record(elapsed);
   return keep_running;
 }
 

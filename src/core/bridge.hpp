@@ -20,6 +20,7 @@
 
 #include "core/analysis_adaptor.hpp"
 #include "core/data_adaptor.hpp"
+#include "obs/metrics.hpp"
 #include "pal/timer.hpp"
 
 namespace insitu::core {
@@ -57,6 +58,13 @@ class InSituBridge {
   std::vector<AnalysisAdaptorPtr> analyses_;
   BridgeTimings timings_;
   bool initialized_ = false;
+
+  // Per-step metric handles in the rank's registry, bound on first use in
+  // execute() (also for analyses added after an execute), so the step
+  // path skips the registry's key building, mutex and map walk.
+  obs::Histogram* execute_seconds_ = nullptr;  ///< bridge.execute.seconds
+  /// backend.execute.seconds{backend=...}, parallel to analyses_.
+  std::vector<obs::Histogram*> backend_execute_seconds_;
 };
 
 }  // namespace insitu::core

@@ -16,7 +16,11 @@
 //
 // Worker threads are plain std::threads with no rank identity: code that
 // must charge a rank's MemoryTracker or record spans installs the rank's
-// context inside the task itself (see core::AsyncBridge).
+// context inside the task itself (see core::AsyncBridge). The one thing a
+// task inherits is its submitter's kernels::StatsSink, so kernel calls a
+// worker makes on behalf of a run (parallel_for helper chunks, fiber
+// carriers, async analyses) count toward that run; the counts are
+// flushed before the task's future becomes ready.
 
 #include <condition_variable>
 #include <cstdint>
@@ -28,6 +32,8 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "kernels/kernels.hpp"
 
 namespace insitu::exec {
 
@@ -52,8 +58,13 @@ class TaskPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [fn = std::forward<F>(fn),
+         sink = kernels::current_stats_sink()]() mutable -> R {
+          if (sink == nullptr) return fn();
+          kernels::ScopedStatsSink charge(sink);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     enqueue([task]() { (*task)(); });
     return future;

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
+#include <vector>
 
 #include "kernels/table.hpp"
 
@@ -55,25 +57,109 @@ bool parse_variant(std::string_view name, Variant* out) {
   return false;
 }
 
-struct StatCell {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> elements{0};
-  std::atomic<std::uint64_t> bytes{0};
+/// One thread's counters. Single writer: only the thread that leased the
+/// block stores to it, so a bump is a relaxed load plus a relaxed store
+/// (no read-modify-write), and the alignment keeps two threads' blocks
+/// off each other's cache lines. Readers (stats_snapshot, sink flushes)
+/// load relaxed; they are exact once the writer synchronized with them.
+struct alignas(64) StatBlock {
+  struct Cell {
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> elements{0};
+    std::atomic<std::uint64_t> bytes{0};
+  };
+  Cell cells[kNumKernels][kNumVariants];
 };
 
-StatCell g_stats[kNumKernels][kNumVariants];
+/// Every block ever leased, plus the ones whose thread has exited. Blocks
+/// are never freed or zeroed, so the summed totals stay monotonic; a
+/// returned block is handed to the next new thread, and the mutex orders
+/// the old owner's last store before the new owner's first load.
+struct Registry {
+  std::mutex mutex;
+  std::vector<StatBlock*> all;
+  std::vector<StatBlock*> free;
+};
 
-/// Relaxed counters: cheap enough for per-chunk granularity, race-free
-/// under TSan, and snapshot consistency is not required (deltas are
-/// read after rank threads join).
+/// Leaked on purpose: threads may exit (and return their block) after
+/// static destruction has begun.
+Registry& registry() {
+  static Registry* r = new Registry;
+  return *r;
+}
+
+thread_local StatBlock* t_block = nullptr;
+thread_local ScopedStatsSink* t_scope = nullptr;  // innermost scope
+
+/// Returns the thread's block to the free list when the thread exits.
+struct BlockLease {
+  ~BlockLease() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.free.push_back(t_block);
+    t_block = nullptr;
+  }
+};
+
+StatBlock* lease_block() {
+  Registry& r = registry();
+  StatBlock* block = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (!r.free.empty()) {
+      block = r.free.back();
+      r.free.pop_back();
+    } else {
+      block = new StatBlock;
+      r.all.push_back(block);
+    }
+  }
+  t_block = block;
+  static thread_local BlockLease lease;  // returns it at thread exit
+  (void)lease;
+  return block;
+}
+
+StatBlock& own_block() {
+  StatBlock* block = t_block;
+  return block != nullptr ? *block : *lease_block();
+}
+
+inline void add_relaxed(std::atomic<std::uint64_t>& counter,
+                        std::uint64_t delta) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+}
+
 inline void bump(KernelId id, Variant v, std::int64_t elements,
                  std::int64_t bytes) {
-  StatCell& c = g_stats[static_cast<int>(id)][static_cast<int>(v)];
-  c.calls.fetch_add(1, std::memory_order_relaxed);
-  c.elements.fetch_add(static_cast<std::uint64_t>(elements),
-                       std::memory_order_relaxed);
-  c.bytes.fetch_add(static_cast<std::uint64_t>(bytes),
-                    std::memory_order_relaxed);
+  StatBlock::Cell& c =
+      own_block().cells[static_cast<int>(id)][static_cast<int>(v)];
+  add_relaxed(c.calls, 1);
+  add_relaxed(c.elements, static_cast<std::uint64_t>(elements));
+  add_relaxed(c.bytes, static_cast<std::uint64_t>(bytes));
+}
+
+KernelStats load(const StatBlock::Cell& c) {
+  return KernelStats{c.calls.load(std::memory_order_relaxed),
+                     c.elements.load(std::memory_order_relaxed),
+                     c.bytes.load(std::memory_order_relaxed)};
+}
+
+void accumulate(KernelStats& into, const KernelStats& d) {
+  into.calls += d.calls;
+  into.elements += d.elements;
+  into.bytes += d.bytes;
+}
+
+StatsSnapshot read_block(const StatBlock& block) {
+  StatsSnapshot out;
+  for (int k = 0; k < kNumKernels; ++k) {
+    for (int v = 0; v < kNumVariants; ++v) {
+      out.s[k][v] = load(block.cells[k][v]);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -145,15 +231,57 @@ const char* kernel_name(KernelId id) {
 
 StatsSnapshot stats_snapshot() {
   StatsSnapshot snap;
-  for (int k = 0; k < kNumKernels; ++k) {
-    for (int v = 0; v < kNumVariants; ++v) {
-      const StatCell& c = g_stats[k][v];
-      snap.s[k][v].calls = c.calls.load(std::memory_order_relaxed);
-      snap.s[k][v].elements = c.elements.load(std::memory_order_relaxed);
-      snap.s[k][v].bytes = c.bytes.load(std::memory_order_relaxed);
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  for (const StatBlock* block : r.all) {
+    for (int k = 0; k < kNumKernels; ++k) {
+      for (int v = 0; v < kNumVariants; ++v) {
+        accumulate(snap.s[k][v], load(block->cells[k][v]));
+      }
     }
   }
   return snap;
+}
+
+StatsSnapshot StatsSink::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return total_;
+}
+
+ScopedStatsSink::ScopedStatsSink(StatsSink* sink)
+    : sink_(sink), outer_(t_scope), mark_(read_block(own_block())) {
+  if (outer_ != nullptr) outer_->flush();
+  t_scope = this;
+}
+
+ScopedStatsSink::~ScopedStatsSink() {
+  flush();
+  t_scope = outer_;
+  if (outer_ != nullptr) outer_->mark_ = read_block(own_block());
+}
+
+/// Adds the thread's counts since mark_ to the sink and moves the mark.
+/// Only this thread writes its block, and the block only grows, so each
+/// difference is exactly the calls made while this scope was innermost.
+void ScopedStatsSink::flush() {
+  const StatsSnapshot now = read_block(own_block());
+  if (sink_ != nullptr) {
+    std::lock_guard<std::mutex> lock(sink_->mutex_);
+    for (int k = 0; k < kNumKernels; ++k) {
+      for (int v = 0; v < kNumVariants; ++v) {
+        const KernelStats& n = now.s[k][v];
+        const KernelStats& m = mark_.s[k][v];
+        accumulate(sink_->total_.s[k][v],
+                   KernelStats{n.calls - m.calls, n.elements - m.elements,
+                               n.bytes - m.bytes});
+      }
+    }
+  }
+  mark_ = now;
+}
+
+StatsSink* current_stats_sink() {
+  return t_scope != nullptr ? t_scope->sink_ : nullptr;
 }
 
 // ---- dispatching wrappers ----

@@ -21,8 +21,10 @@
 // variable ("generic" | "batched" | "simd") sets the default, the CLIs'
 // `kernels=` option calls set_variant(), and nothing else may change it
 // mid-run. Dispatch is one relaxed atomic load + indirect call per
-// *chunk* (callers pass exec::parallel_for-sized ranges), so its cost is
-// noise.
+// call. Call sites are not all chunk-sized: the oscillator field makes
+// one call per x-row per oscillator (rows of a few dozen points), so a
+// rank makes thousands of short calls per step and the per-call cost
+// counts — see the counters below.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
 //   * Kernels never touch the virtual clock; call sites charge the same
@@ -43,11 +45,17 @@
 //
 // Layering: kernels depends on nothing but the C++ standard library; it
 // sits below pal so every layer (miniapp, analysis, render, comm) can
-// call it. Because it cannot see obs, it keeps process-global relaxed
-// atomic counters per (kernel, variant); comm::Runtime::run snapshots
-// them around each run and publishes the delta as kernels.* metrics.
+// call it. Because it cannot see obs, it keeps its own counters per
+// (kernel, variant), in one cache-line-aligned block per dispatching
+// thread. Only the owning thread writes its block (a relaxed load and a
+// relaxed store, no read-modify-write), so concurrent ranks never share
+// a counter line. stats_snapshot() sums every block for process totals;
+// a StatsSink collects the counts of the threads that adopt it, which
+// is how comm::Runtime::run publishes exactly its own run's dispatches
+// as kernels.* metrics (docs/PERFORMANCE.md "Dispatch counters").
 
 #include <cstdint>
+#include <mutex>
 #include <string_view>
 
 namespace insitu::kernels {
@@ -114,14 +122,62 @@ struct KernelStats {
   std::uint64_t bytes = 0;     ///< bytes read + written (modeled)
 };
 
-/// Snapshot of the process-global counters, indexed
-/// [kernel][variant]. Publish deltas between two snapshots, never the
-/// absolute values (the process accumulates across runs).
+/// Counters indexed [kernel][variant].
 struct StatsSnapshot {
   KernelStats s[kNumKernels][kNumVariants];
 };
 
+/// Process totals: the sum over every thread's block, including blocks
+/// of threads that have exited (blocks are never freed or zeroed).
+/// Publish deltas between two snapshots, never the absolute values (the
+/// process accumulates across runs). Exact once the dispatching threads
+/// have joined or otherwise synchronized with the caller.
 StatsSnapshot stats_snapshot();
+
+class StatsSink;
+
+/// The sink the calling thread's innermost ScopedStatsSink charges, or
+/// null.
+StatsSink* current_stats_sink();
+
+/// Collects the kernel dispatches of every thread that adopts it through
+/// a ScopedStatsSink: the counts a thread makes while its innermost
+/// scope names this sink are added here when that scope ends or is
+/// nested. comm::Runtime::run owns one per run; exec::TaskPool tasks
+/// charge the sink their submitter had, so parallel_for helper chunks
+/// and fiber carriers count toward the caller's run.
+class StatsSink {
+ public:
+  /// Counts flushed so far (exact once every adopting scope has ended).
+  StatsSnapshot snapshot() const;
+
+ private:
+  friend class ScopedStatsSink;
+
+  mutable std::mutex mutex_;
+  StatsSnapshot total_{};
+};
+
+/// Charges the calling thread's dispatches to `sink` (null: to no sink)
+/// from construction until destruction. Scopes nest: an inner scope
+/// flushes the outer one's counts first and resumes it when it ends.
+/// Thread-confined: never hold one across a fiber park, since the fiber
+/// may resume on another thread.
+class ScopedStatsSink {
+ public:
+  explicit ScopedStatsSink(StatsSink* sink);
+  ~ScopedStatsSink();
+  ScopedStatsSink(const ScopedStatsSink&) = delete;
+  ScopedStatsSink& operator=(const ScopedStatsSink&) = delete;
+
+ private:
+  friend StatsSink* current_stats_sink();
+  void flush();
+
+  StatsSink* sink_;
+  ScopedStatsSink* outer_;
+  StatsSnapshot mark_;  ///< this thread's block when counting last began
+};
 
 // ---- primitives ----
 

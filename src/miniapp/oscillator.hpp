@@ -97,6 +97,8 @@ class OscillatorSim {
   pal::TrackedBytes tracked_;
   double time_ = 0.0;
   long step_ = 0;
+  /// miniapp.step.seconds in the rank's registry, bound on first step().
+  obs::Histogram* step_seconds_ = nullptr;
 };
 
 }  // namespace insitu::miniapp

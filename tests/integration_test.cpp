@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -19,6 +20,8 @@
 #include "core/bridge.hpp"
 #include "io/writers.hpp"
 #include "miniapp/adaptor.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "test_dir.hpp"
 
 namespace insitu {
@@ -158,6 +161,78 @@ TEST(Integration, PhysicsIndependentOfRankCount) {
   const RunSummary p8 = run_everything(8, 16);
   EXPECT_NEAR(p2.peak_x, p8.peak_x, 1e-9);
   EXPECT_NEAR(p2.peak_x, 8.0, 0.5);
+}
+
+/// Count (histograms) or value (counters) of one series in the calling
+/// rank's registry; -1 when the series does not exist.
+double rank_series(const std::string& key) {
+  for (const obs::MetricSample& sample : obs::metrics().snapshot()) {
+    if (sample.key == key) {
+      return sample.kind == obs::MetricKind::kHistogram
+                 ? static_cast<double>(sample.count)
+                 : sample.value;
+    }
+  }
+  return -1.0;
+}
+
+// The per-step paths bind their metric handles once per rank; every
+// series must still land under its exact name and labels, including one
+// for an analysis added after the first execute().
+TEST(Integration, MetricHandlesBoundOnceKeepEverySeries) {
+  constexpr int kSteps = 5;
+  std::atomic<int> ranks_checked{0};
+  const comm::RunReport report =
+      comm::Runtime::run(2, [&](comm::Communicator& comm) {
+        miniapp::OscillatorConfig cfg;
+        cfg.global_cells = {8, 8, 8};
+        cfg.oscillators = {{miniapp::Oscillator::Kind::kPeriodic,
+                            {4, 4, 4}, 2.0, 1.0, 0.0}};
+        miniapp::OscillatorSim sim(comm, cfg);
+        sim.initialize();
+        miniapp::OscillatorDataAdaptor adaptor(sim);
+        core::InSituBridge bridge(&comm);
+        bridge.add_analysis(std::make_shared<analysis::HistogramAnalysis>(
+            "data", data::Association::kPoint, 8));
+        ASSERT_TRUE(bridge.initialize().ok());
+        for (int s = 0; s < kSteps; ++s) {
+          ASSERT_TRUE(bridge.execute(adaptor, sim.time(), s).ok());
+          if (s == 0) {
+            bridge.add_analysis(
+                std::make_shared<analysis::StatisticsAnalysis>(
+                    "data", data::Association::kPoint));
+          }
+          sim.step();
+        }
+        ASSERT_TRUE(bridge.finalize().ok());
+        EXPECT_EQ(rank_series("backend.execute.seconds{backend=histogram}"),
+                  kSteps);
+        EXPECT_EQ(rank_series("backend.execute.seconds{backend=statistics}"),
+                  kSteps - 1);
+        EXPECT_EQ(rank_series("bridge.execute.seconds"), kSteps);
+        EXPECT_EQ(rank_series("miniapp.step.seconds"), kSteps);
+
+        // Collective bytes go to the same series a lookup names.
+        const std::string allreduce_key = "comm.bytes_sent{op=allreduce}";
+        const std::string bcast_key = "comm.bytes_sent{op=bcast}";
+        const auto bytes = [](const std::string& key) {
+          return std::max(0.0, rank_series(key));  // absent: none sent
+        };
+        const double allreduce_before = bytes(allreduce_key);
+        const double bcast_before = bytes(bcast_key);
+        std::vector<double> sums(3, 1.0);
+        comm.allreduce(std::span<double>(sums), comm::ReduceOp::kSum);
+        std::vector<std::int32_t> table(comm.rank() == 1 ? 7 : 0, 42);
+        comm.broadcast(table, 1);
+        comm.broadcast(table, 1);
+        EXPECT_EQ(bytes(allreduce_key) - allreduce_before,
+                  3 * sizeof(double));
+        EXPECT_EQ(bytes(bcast_key) - bcast_before,
+                  comm.rank() == 1 ? 2 * 7 * sizeof(std::int32_t) : 0);
+        ++ranks_checked;
+      });
+  EXPECT_FALSE(report.failed) << report.failure_message;
+  EXPECT_EQ(ranks_checked.load(), 2);
 }
 
 TEST(Integration, InSituPlusPostHocInOneRun) {

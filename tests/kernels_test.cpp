@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,6 +110,74 @@ TEST(KernelsDispatch, StatsCountCallsElementsBytes) {
   EXPECT_EQ(d1.calls - d0.calls, 1u);
   EXPECT_EQ(d1.elements - d0.elements, 100u);
   EXPECT_EQ(d1.bytes - d0.bytes, 1600u);
+}
+
+const KernelStats& dot_stats(const StatsSnapshot& snap, Variant v) {
+  return snap.s[static_cast<int>(KernelId::kDot)][static_cast<int>(v)];
+}
+
+// Two waves of 8 threads: the second wave leases the blocks the first
+// returned on exit. Per-thread blocks must neither lose nor double count
+// a call, and a reused block keeps counting from where it was.
+TEST(KernelsDispatch, StatsExactUnderConcurrencyAndBlockReuse) {
+  ScopedVariant scope(Variant::kSimd);
+  const Variant v = active_variant();  // kBatched on cores without AVX2
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 20000;
+  constexpr std::int64_t kLen = 3;
+  const StatsSnapshot before = stats_snapshot();
+  for (int wave = 0; wave < 2; ++wave) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        const std::vector<double> a(kLen, 1.0), b(kLen, 2.0);
+        for (int i = 0; i < kCalls; ++i) (void)dot(a.data(), b.data(), kLen);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  const StatsSnapshot after = stats_snapshot();
+  const KernelStats& d0 = dot_stats(before, v);
+  const KernelStats& d1 = dot_stats(after, v);
+  const std::uint64_t calls = 2ull * kThreads * kCalls;
+  EXPECT_EQ(d1.calls - d0.calls, calls);
+  EXPECT_EQ(d1.elements - d0.elements, calls * kLen);
+  EXPECT_EQ(d1.bytes - d0.bytes, calls * kLen * 16);
+}
+
+// A nested scope takes only the calls made while it is innermost; the
+// outer sink gets the calls before and after it.
+TEST(KernelsDispatch, NestedSinksSplitTheCalls) {
+  ScopedVariant scope(Variant::kSimd);
+  const Variant v = active_variant();
+  const std::vector<double> a(5, 1.0), b(5, 2.0);
+  const auto dots = [&](int n) {
+    for (int i = 0; i < n; ++i) (void)dot(a.data(), b.data(), 5);
+  };
+  StatsSink outer;
+  StatsSink inner;
+  EXPECT_EQ(current_stats_sink(), nullptr);
+  {
+    ScopedStatsSink charge_outer(&outer);
+    dots(3);
+    {
+      ScopedStatsSink charge_inner(&inner);
+      EXPECT_EQ(current_stats_sink(), &inner);
+      dots(5);
+      {
+        ScopedStatsSink charge_none(nullptr);
+        dots(100);
+      }
+      dots(2);
+    }
+    EXPECT_EQ(current_stats_sink(), &outer);
+    dots(4);
+  }
+  EXPECT_EQ(current_stats_sink(), nullptr);
+  dots(9);
+  EXPECT_EQ(dot_stats(outer.snapshot(), v).calls, 7u);
+  EXPECT_EQ(dot_stats(inner.snapshot(), v).calls, 7u);
+  EXPECT_EQ(dot_stats(inner.snapshot(), v).elements, 35u);
 }
 
 TEST(KernelsGolden, ReduceMoments) {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -26,6 +27,8 @@
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
 #include "exec/fiber.hpp"
+#include "exec/task_pool.hpp"
+#include "kernels/kernels.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::comm {
@@ -241,6 +244,105 @@ TEST(SchedTest, SchedulerCountersPublishedUnderMn) {
       Runtime::run(4, threads, [](Communicator& comm) { comm.barrier(); });
   for (const obs::MetricSample& sample : report.metrics) {
     EXPECT_NE(sample.key.rfind("exec.sched.", 0), 0u) << sample.key;
+  }
+}
+
+// Two runs at once, one per backend, each making a known number of
+// kernel calls: each report counts exactly its own calls (rank threads,
+// carriers, and parallel_for helper chunks on the shared pool), and the
+// process-wide counters grow by the sum of the two.
+TEST(SchedTest, ConcurrentRunsCountOnlyTheirOwnKernelCalls) {
+  const std::string variant(kernels::variant_name(kernels::active_variant()));
+  const std::string dot_calls =
+      "kernels.calls{kernel=dot,variant=" + variant + "}";
+  const std::string dot_elements =
+      "kernels.elements{kernel=dot,variant=" + variant + "}";
+  constexpr std::int64_t kLen = 8;
+  const std::vector<double> a(kLen, 1.0), b(kLen, 2.0);
+  const auto dots = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      (void)kernels::dot(a.data(), b.data(), kLen);
+    }
+  };
+
+  // threads: 4 ranks x (300 direct calls + 64 single-call chunks of a
+  // parallel_for that the global pool's helpers share).
+  constexpr int kThreadRanks = 4;
+  constexpr int kThreadDirect = 300;
+  constexpr int kChunks = 64;
+  // mn: 16 fibers on 2 carriers x 5 rounds of 100 calls, a barrier after
+  // each round so fibers park and migrate between carriers.
+  constexpr int kFiberRanks = 16;
+  constexpr int kRounds = 5;
+  constexpr int kPerRound = 100;
+
+  exec::set_global_threads(3);
+  const kernels::StatsSnapshot before = kernels::stats_snapshot();
+  std::latch start(2);
+  std::atomic<int> helper_chunks{0};
+  RunReport threads_report;
+  RunReport mn_report;
+  std::thread threads_run([&] {
+    Runtime::Options options;
+    options.sched.backend = SchedBackend::kThreads;
+    start.arrive_and_wait();
+    threads_report = Runtime::run(kThreadRanks, options, [&](Communicator&) {
+      dots(kThreadDirect);
+      const std::thread::id rank_thread = std::this_thread::get_id();
+      exec::parallel_for(0, kChunks, 1, [&](std::int64_t, std::int64_t) {
+        dots(1);
+        if (std::this_thread::get_id() != rank_thread) ++helper_chunks;
+        // Keep the rank thread busy so the helpers take chunks too.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+    });
+  });
+  std::thread mn_run([&] {
+    start.arrive_and_wait();
+    mn_report =
+        Runtime::run(kFiberRanks, mn_options(2), [&](Communicator& comm) {
+          for (int round = 0; round < kRounds; ++round) {
+            dots(kPerRound);
+            comm.barrier();
+          }
+        });
+  });
+  threads_run.join();
+  mn_run.join();
+  const kernels::StatsSnapshot after = kernels::stats_snapshot();
+  exec::set_global_threads(1);
+
+  EXPECT_GT(helper_chunks.load(), 0);
+  const double threads_calls = kThreadRanks * (kThreadDirect + kChunks);
+  const double mn_calls = kFiberRanks * kRounds * kPerRound;
+  EXPECT_EQ(metric_value(threads_report, dot_calls), threads_calls);
+  EXPECT_EQ(metric_value(mn_report, dot_calls), mn_calls);
+  EXPECT_EQ(metric_value(threads_report, dot_elements), threads_calls * kLen);
+  EXPECT_EQ(metric_value(mn_report, dot_elements), mn_calls * kLen);
+
+  // Every (kernel, variant) series of the two reports adds up to the
+  // process delta, and nothing else ran in between.
+  for (const std::string field : {"calls", "elements", "bytes"}) {
+    double reported = 0.0;
+    for (const RunReport* report : {&threads_report, &mn_report}) {
+      for (const obs::MetricSample& sample : report->metrics) {
+        if (sample.key.rfind("kernels." + field + "{", 0) == 0) {
+          reported += sample.value;
+        }
+      }
+    }
+    double process = 0.0;
+    for (int k = 0; k < kernels::kNumKernels; ++k) {
+      for (int v = 0; v < kernels::kNumVariants; ++v) {
+        const kernels::KernelStats& x = after.s[k][v];
+        const kernels::KernelStats& y = before.s[k][v];
+        process += static_cast<double>(
+            field == "calls" ? x.calls - y.calls
+            : field == "elements" ? x.elements - y.elements
+                                  : x.bytes - y.bytes);
+      }
+    }
+    EXPECT_EQ(reported, process) << field;
   }
 }
 

@@ -37,10 +37,13 @@ void executed_table() {
             local.depth(x, y) = static_cast<float>(comm.rank() + 1);
           }
         }
+        // Compositing is in place: each algorithm gets its own copy.
+        render::Image tree = local.clone();
+        render::Image swap = local.clone();
         const double t0 = comm.clock().now();
-        render::Image tree = render::composite_tree(comm, local);
+        render::composite(comm, tree, render::CompositeAlgorithm::kTree);
         const double t1 = comm.clock().now();
-        render::Image swap = render::composite_binary_swap(comm, local);
+        render::composite(comm, swap, render::CompositeAlgorithm::kBinarySwap);
         const double t2 = comm.clock().now();
         if (comm.rank() == 0) {
           tree_time = t1 - t0;

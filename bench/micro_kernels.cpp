@@ -182,7 +182,7 @@ BENCHMARK(BM_SliceAxis)->DenseRange(0, 2);
 void BM_ImageCompositeMerge(benchmark::State& state) {
   render::Image a(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(0)));
-  render::Image b = a;
+  render::Image b = a.clone();
   for (std::int64_t i = 0; i < b.num_pixels(); ++i) {
     b.depths()[static_cast<std::size_t>(i)] = static_cast<float>(i % 3);
   }
@@ -193,6 +193,36 @@ void BM_ImageCompositeMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.num_pixels());
 }
 BENCHMARK(BM_ImageCompositeMerge)->Arg(512)->Arg(1024);
+
+// Four ranks depth-composite 1920x1080 frames onto rank 0, in place, with
+// the frames allocated once and reused across iterations (as a backend
+// reuses its frame across steps). Each iteration is one Runtime::run of
+// kFrames composites; reports composited frames per second.
+void BM_CompositeFrame(benchmark::State& state,
+                       render::CompositeAlgorithm algo) {
+  constexpr int kRanks = 4;
+  constexpr int kFrames = 8;
+  std::vector<render::Image> frames;
+  for (int r = 0; r < kRanks; ++r) frames.emplace_back(1920, 1080);
+  for (auto _ : state) {
+    comm::Runtime::run(kRanks, [&](comm::Communicator& comm) {
+      render::Image& frame = frames[static_cast<std::size_t>(comm.rank())];
+      for (int f = 0; f < kFrames; ++f) {
+        benchmark::DoNotOptimize(render::composite(comm, frame, algo));
+      }
+      benchmark::DoNotOptimize(frame.pixels().data());
+    });
+    benchmark::ClobberMemory();
+  }
+  state.counters["frames/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kFrames,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_CompositeFrame, tree, render::CompositeAlgorithm::kTree)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_CompositeFrame, swap,
+                  render::CompositeAlgorithm::kBinarySwap)
+    ->UseRealTime();
 
 // ---- pooled-memory / bulk-copy kernels ----
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "analysis/contour.hpp"
 #include "analysis/derived.hpp"
@@ -24,6 +25,12 @@ Status CatalystSlice::initialize(comm::Communicator& comm) {
   // Pipeline construction: cheap and rank-local (Fig 5 shows Catalyst
   // analysis-init as minimal).
   comm.advance_compute(2e-3);
+  return Status::Ok();
+}
+
+Status CatalystSlice::finalize(comm::Communicator& comm) {
+  (void)comm;
+  frame_ = render::Image{};
   return Status::Ok();
 }
 
@@ -110,9 +117,13 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   rc.colormap = render::ColorMap::by_name(config_.colormap,
                                           config_.scalar_min,
                                           config_.scalar_max);
-  render::Image local_image(rc.width, rc.height);
-  local_image.clear(rc.background);
-  const std::int64_t fragments = rasterize(geometry, rc, local_image);
+  // The frame persists across steps: reallocated only when the size
+  // changes, cleared once per step, composited into in place.
+  if (frame_.width() != rc.width || frame_.height() != rc.height) {
+    frame_.reset(rc.width, rc.height);
+  }
+  frame_.clear(rc.background);
+  const std::int64_t fragments = rasterize(geometry, rc, frame_);
   comm.advance_compute(static_cast<double>(fragments) /
                        comm.machine().pixel_blend_rate);
   costs.rasterize = comm.clock().now() - t1;
@@ -120,17 +131,16 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   // Stage 2: compositing to rank 0.
   stage.emplace(obs::Category::kBackend, "catalyst.composite");
   const double t2 = comm.clock().now();
-  render::Image composite =
-      render::composite(comm, local_image, config_.compositing);
+  const bool root = render::composite(comm, frame_, config_.compositing);
   costs.composite = comm.clock().now() - t2;
 
   // Stage 3: rank 0 encodes (serial zlib) and writes.
   stage.emplace(obs::Category::kBackend, "catalyst.encode_write");
   const double t3 = comm.clock().now();
   bool keep_running = true;
-  if (comm.rank() == 0) {
+  if (root) {
     const std::uint64_t raw_bytes =
-        static_cast<std::uint64_t>(composite.num_pixels()) * 4;
+        static_cast<std::uint64_t>(frame_.num_pixels()) * 4;
     if (config_.compress_png) {
       comm.advance_compute(comm.machine().compress_time(raw_bytes));
     } else {
@@ -141,14 +151,16 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
       std::snprintf(name, sizeof name, "/catalyst_%06ld.png",
                     data.time_step());
       INSITU_RETURN_IF_ERROR(render::png::write_file(
-          config_.output_directory + name, composite,
+          config_.output_directory + name, frame_,
           {.compress = config_.compress_png}));
       obs::metrics()
           .counter("io.bytes_written", {{"writer", "png"}})
           .add(static_cast<std::int64_t>(raw_bytes));
     }
-    if (live_viewer) keep_running = live_viewer(composite, data.time_step());
-    last_image_ = std::move(composite);
+    if (live_viewer) keep_running = live_viewer(frame_, data.time_step());
+    // The composite becomes last_image(); the previous one is next step's
+    // frame, so rank 0 alternates between two buffers.
+    std::swap(frame_, last_image_);
     ++images_;
   }
   costs.encode_write = comm.clock().now() - t3;

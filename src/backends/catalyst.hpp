@@ -73,9 +73,13 @@ class CatalystSlice final : public core::AnalysisAdaptor {
 
   Status initialize(comm::Communicator& comm) override;
   StatusOr<bool> execute(core::DataAdaptor& data) override;
+  /// Frees the working frame; last_image() stays readable.
+  Status finalize(comm::Communicator& comm) override;
 
   /// Most recent composited image (rank 0; empty elsewhere).
   const render::Image& last_image() const { return last_image_; }
+  /// The working frame each step renders and composites into in place.
+  const render::Image& frame() const { return frame_; }
   const CatalystStepCosts& last_costs() const { return last_costs_; }
   long images_produced() const { return images_; }
 
@@ -86,6 +90,7 @@ class CatalystSlice final : public core::AnalysisAdaptor {
 
  private:
   CatalystSliceConfig config_;
+  render::Image frame_;
   render::Image last_image_;
   CatalystStepCosts last_costs_;
   long images_ = 0;

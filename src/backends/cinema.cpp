@@ -102,15 +102,17 @@ StatusOr<bool> CinemaExtract::execute(core::DataAdaptor& data) {
       rc.camera.set_ortho_half_height(1.3 * radius);
       rc.colormap =
           render::ColorMap::by_name(config_.colormap, lo[3], hi[3]);
-      render::Image img(rc.width, rc.height);
-      img.clear(rc.background);
-      const std::int64_t fragments = rasterize(geometry, rc, img);
+      // One frame per instance, reused for every camera and step.
+      if (frame_.width() != rc.width || frame_.height() != rc.height) {
+        frame_.reset(rc.width, rc.height);
+      }
+      frame_.clear(rc.background);
+      const std::int64_t fragments = rasterize(geometry, rc, frame_);
       comm.advance_compute(static_cast<double>(fragments) /
                            comm.machine().pixel_blend_rate);
-      render::Image composited = render::composite_tree(comm, img);
-      if (comm.rank() == 0) {
+      if (render::composite(comm, frame_, render::CompositeAlgorithm::kTree)) {
         const std::uint64_t raw =
-            static_cast<std::uint64_t>(composited.num_pixels()) * 4;
+            static_cast<std::uint64_t>(frame_.num_pixels()) * 4;
         comm.advance_compute(config_.compress_png
                                  ? comm.machine().compress_time(raw)
                                  : comm.machine().memcpy_time(raw));
@@ -119,10 +121,10 @@ StatusOr<bool> CinemaExtract::execute(core::DataAdaptor& data) {
           std::snprintf(name, sizeof name, "/step_%06ld_phi%02d_theta%02d.png",
                         data.time_step(), pi, ti);
           INSITU_RETURN_IF_ERROR(render::png::write_file(
-              config_.output_directory + name, composited,
+              config_.output_directory + name, frame_,
               {.compress = config_.compress_png}));
         }
-        last_hash_ = composited.color_hash();
+        last_hash_ = frame_.color_hash();
         ++images_;
       }
     }
@@ -146,6 +148,7 @@ std::string CinemaExtract::index_text() const {
 }
 
 Status CinemaExtract::finalize(comm::Communicator& comm) {
+  frame_ = render::Image{};
   if (comm.rank() == 0 && !config_.output_directory.empty()) {
     const std::string text = index_text();
     std::vector<std::byte> bytes(text.size());

@@ -44,7 +44,7 @@ class CinemaExtract final : public core::AnalysisAdaptor {
 
   Status initialize(comm::Communicator& comm) override;
   StatusOr<bool> execute(core::DataAdaptor& data) override;
-  /// Writes the database index on rank 0.
+  /// Writes the database index on rank 0 and frees the working frame.
   Status finalize(comm::Communicator& comm) override;
 
   long images_produced() const { return images_; }
@@ -60,6 +60,7 @@ class CinemaExtract final : public core::AnalysisAdaptor {
   long images_ = 0;
   std::vector<long> steps_;
   std::uint64_t last_hash_ = 0;
+  render::Image frame_;  ///< composited into in place, per camera
 };
 
 }  // namespace insitu::backends

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "analysis/contour.hpp"
 #include "obs/context.hpp"
@@ -57,6 +58,12 @@ Status LibsimRender::initialize(comm::Communicator& comm) {
   // the filesystem — cost grows with rank count.
   const double per_rank_check = 75e-6;
   comm.advance_compute(per_rank_check * comm.size());
+  return Status::Ok();
+}
+
+Status LibsimRender::finalize(comm::Communicator& comm) {
+  (void)comm;
+  frame_ = render::Image{};
   return Status::Ok();
 }
 
@@ -122,20 +129,24 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
   rc.camera.set_ortho_half_height(1.8 * radius);
   rc.colormap = render::ColorMap::by_name(
       session_.colormap, session_.scalar_min, session_.scalar_max);
-  render::Image local_image(rc.width, rc.height);
-  local_image.clear(rc.background);
-  const std::int64_t fragments = rasterize(geometry, rc, local_image);
+  // The frame persists across steps (see CatalystSlice::execute).
+  if (frame_.width() != rc.width || frame_.height() != rc.height) {
+    frame_.reset(rc.width, rc.height);
+  }
+  frame_.clear(rc.background);
+  const std::int64_t fragments = rasterize(geometry, rc, frame_);
   comm.advance_compute(static_cast<double>(fragments) /
                        comm.machine().pixel_blend_rate);
 
   // Libsim path: binary-swap compositing.
   stage.emplace(obs::Category::kBackend, "libsim.composite");
-  render::Image composite = render::composite_binary_swap(comm, local_image);
+  const bool root = render::composite(comm, frame_,
+                                      render::CompositeAlgorithm::kBinarySwap);
 
   stage.emplace(obs::Category::kBackend, "libsim.encode_write");
-  if (comm.rank() == 0) {
+  if (root) {
     const std::uint64_t raw_bytes =
-        static_cast<std::uint64_t>(composite.num_pixels()) * 4;
+        static_cast<std::uint64_t>(frame_.num_pixels()) * 4;
     comm.advance_compute(config_.compress_png
                              ? comm.machine().compress_time(raw_bytes)
                              : comm.machine().memcpy_time(raw_bytes));
@@ -143,13 +154,13 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
       char name[64];
       std::snprintf(name, sizeof name, "/libsim_%06ld.png", data.time_step());
       INSITU_RETURN_IF_ERROR(render::png::write_file(
-          config_.output_directory + name, composite,
+          config_.output_directory + name, frame_,
           {.compress = config_.compress_png}));
       obs::metrics()
           .counter("io.bytes_written", {{"writer", "png"}})
           .add(static_cast<std::int64_t>(raw_bytes));
     }
-    last_image_ = std::move(composite);
+    std::swap(frame_, last_image_);
     ++images_;
   }
   stage.reset();

@@ -71,9 +71,13 @@ class LibsimRender final : public core::AnalysisAdaptor {
 
   Status initialize(comm::Communicator& comm) override;
   StatusOr<bool> execute(core::DataAdaptor& data) override;
+  /// Frees the working frame; last_image() stays readable.
+  Status finalize(comm::Communicator& comm) override;
 
   const LibsimSession& session() const { return session_; }
   const render::Image& last_image() const { return last_image_; }
+  /// The working frame each step renders and composites into in place.
+  const render::Image& frame() const { return frame_; }
   long images_produced() const { return images_; }
   /// Virtual seconds spent in the last execute() on this rank (0 when the
   /// step was skipped by every_n_steps) — Fig 16's sawtooth.
@@ -82,6 +86,7 @@ class LibsimRender final : public core::AnalysisAdaptor {
  private:
   LibsimConfig config_;
   LibsimSession session_;
+  render::Image frame_;
   render::Image last_image_;
   long images_ = 0;
   double last_execute_seconds_ = 0.0;

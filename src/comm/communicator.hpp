@@ -13,6 +13,7 @@
 // simultaneously *executed* (data is really exchanged between threads) and
 // *performance-modeled* (virtual time reproduces cluster cost shapes).
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -89,8 +90,20 @@ class Communicator {
 
   // ---- point to point ----
 
-  /// Buffered (eager) send; never blocks.
+  /// Buffered (eager) send; never blocks. Copies `data` into a fresh
+  /// message buffer; `send(dest, tag, {})` sends an empty message.
   void send(int dest, int tag, std::span<const std::byte> data);
+
+  /// Buffered send that moves `payload` into the receiver's mailbox: the
+  /// matching recv() returns this very buffer, uncopied. Cost and counters
+  /// depend on payload.size() alone, exactly as for the span overload.
+  /// Constrained to rvalue std::vector<std::byte> so that lvalue vectors
+  /// and a braced `{}` still resolve to the span overload.
+  template <typename Bytes>
+    requires std::same_as<Bytes, std::vector<std::byte>>
+  void send(int dest, int tag, Bytes&& payload) {
+    send_bytes(dest, tag, std::move(payload));
+  }
 
   /// Blocking receive matching (src, tag) in FIFO order.
   std::vector<std::byte> recv(int src, int tag);
@@ -265,6 +278,9 @@ class Communicator {
   Communicator sibling(VirtualClock* clock, pal::Rng* rng = nullptr) const;
 
  private:
+  /// The one send implementation; both send() overloads land here.
+  void send_bytes(int dest, int tag, std::vector<std::byte>&& payload);
+
   std::vector<std::byte> coll_bcast(std::span<const std::byte> data, int root);
   void coll_reduce(
       const void* in, void* out, std::size_t bytes, int root, bool all,

@@ -4,6 +4,7 @@
 
 #include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
+#include "pal/buffer_pool.hpp"
 
 namespace insitu::render {
 
@@ -13,20 +14,28 @@ constexpr int kTagTree = 9001;
 constexpr int kTagSwapBase = 9100;
 constexpr int kTagGather = 9090;
 
-/// Serialize a [begin, end) pixel range: colors then depths.
+/// Pack a [begin, end) pixel range, colors then depths, into a pooled
+/// buffer after `header` bytes; the buffer is sent by move.
 std::vector<std::byte> pack_range(const Image& img, std::int64_t begin,
-                                  std::int64_t end) {
+                                  std::int64_t end,
+                                  std::span<const std::byte> header = {}) {
   const std::size_t n = static_cast<std::size_t>(end - begin);
-  std::vector<std::byte> out(n * (sizeof(Rgba) + sizeof(float)));
-  std::memcpy(out.data(), img.pixels().data() + begin, n * sizeof(Rgba));
-  std::memcpy(out.data() + n * sizeof(Rgba), img.depths().data() + begin,
-              n * sizeof(float));
+  const auto colors =
+      std::as_bytes(std::span(img.pixels()).subspan(begin, n));
+  const auto depths =
+      std::as_bytes(std::span(img.depths()).subspan(begin, n));
+  std::vector<std::byte> out = pal::buffer_pool().acquire(
+      header.size() + colors.size() + depths.size());
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), colors.begin(), colors.end());
+  out.insert(out.end(), depths.begin(), depths.end());
   return out;
 }
 
-/// Composite a packed [begin, end) range into `img` (nearer depth wins).
+/// Composite a received [begin, end) range into `img` (nearer depth wins),
+/// then return its buffer to the pool.
 void merge_range(Image& img, std::int64_t begin,
-                 std::span<const std::byte> packed) {
+                 std::vector<std::byte>&& packed) {
   const std::size_t n = packed.size() / (sizeof(Rgba) + sizeof(float));
   const auto* colors = reinterpret_cast<const Rgba*>(packed.data());
   const auto* depths = reinterpret_cast<const float*>(
@@ -44,17 +53,24 @@ void merge_range(Image& img, std::int64_t begin,
                                      colors + lo),
                                  depths + lo, hi - lo);
       });
+  pal::buffer_pool().release(std::move(packed));
 }
 
-/// Replace (not merge) a packed range — used by the final gather.
-void store_range(Image& img, std::int64_t begin,
-                 std::span<const std::byte> packed) {
-  const std::size_t n = packed.size() / (sizeof(Rgba) + sizeof(float));
-  const auto* colors = reinterpret_cast<const Rgba*>(packed.data());
-  const auto* depths = reinterpret_cast<const float*>(
-      packed.data() + n * sizeof(Rgba));
-  std::memcpy(img.pixels().data() + begin, colors, n * sizeof(Rgba));
-  std::memcpy(img.depths().data() + begin, depths, n * sizeof(float));
+/// Store a gathered strip (its begin offset, then colors and depths) into
+/// `img`, replacing what is there, then return its buffer to the pool.
+/// Folded ranks send an empty message: they own no strip.
+void store_strip(Image& img, std::vector<std::byte>&& packed) {
+  if (!packed.empty()) {
+    std::int64_t begin = 0;
+    std::memcpy(&begin, packed.data(), sizeof begin);
+    const std::span<const std::byte> body =
+        std::span<const std::byte>(packed).subspan(sizeof begin);
+    const std::size_t n = body.size() / (sizeof(Rgba) + sizeof(float));
+    std::memcpy(img.pixels().data() + begin, body.data(), n * sizeof(Rgba));
+    std::memcpy(img.depths().data() + begin, body.data() + n * sizeof(Rgba),
+                n * sizeof(float));
+  }
+  pal::buffer_pool().release(std::move(packed));
 }
 
 /// Per-pixel blend cost charged on top of the real byte movement.
@@ -63,52 +79,46 @@ void charge_blend(comm::Communicator& comm, std::int64_t pixels) {
                        comm.machine().pixel_blend_rate);
 }
 
-}  // namespace
-
-Image composite_tree(comm::Communicator& comm, const Image& local) {
-  Image mine = local;  // working copy we merge into
+bool composite_tree(comm::Communicator& comm, Image& frame) {
   const int rank = comm.rank();
   const int size = comm.size();
-  const std::int64_t npx = mine.num_pixels();
+  const std::int64_t npx = frame.num_pixels();
 
   // Binomial reduction: at stage s, ranks with bit s set send their full
   // image to (rank - 2^s) and drop out.
   for (int stride = 1; stride < size; stride <<= 1) {
     if ((rank & stride) != 0) {
-      comm.send(rank - stride, kTagTree, pack_range(mine, 0, npx));
-      return Image{};  // dropped out; no result on this rank
+      comm.send(rank - stride, kTagTree, pack_range(frame, 0, npx));
+      return false;  // dropped out; no result on this rank
     }
     const int partner = rank + stride;
     if (partner < size) {
-      const std::vector<std::byte> packed = comm.recv(partner, kTagTree);
-      merge_range(mine, 0, packed);
+      merge_range(frame, 0, comm.recv(partner, kTagTree));
       charge_blend(comm, npx);
     }
   }
-  return mine;
+  return true;
 }
 
-Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
+bool composite_binary_swap(comm::Communicator& comm, Image& frame) {
   const int rank = comm.rank();
   const int size = comm.size();
-  const std::int64_t npx = local.num_pixels();
-  if (size == 1) return local;
+  const std::int64_t npx = frame.num_pixels();
+  if (size == 1) return true;
 
   // Largest power of two <= size.
   int pow2 = 1;
   while (pow2 * 2 <= size) pow2 *= 2;
 
-  Image mine = local;
   // Fold phase: extra ranks send their whole image into the pow2 set.
   if (rank >= pow2) {
-    comm.send(rank - pow2, kTagSwapBase, pack_range(mine, 0, npx));
+    comm.send(rank - pow2, kTagSwapBase, pack_range(frame, 0, npx));
     // Extra ranks still participate in the final gather (with nothing).
     comm.send(0, kTagGather, {});
-    return Image{};
+    return false;
   }
   if (rank + pow2 < size) {
-    const std::vector<std::byte> packed = comm.recv(rank + pow2, kTagSwapBase);
-    merge_range(mine, 0, packed);
+    merge_range(frame, 0, comm.recv(rank + pow2, kTagSwapBase));
     charge_blend(comm, npx);
   }
 
@@ -126,46 +136,42 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
     const std::int64_t send_end = keep_low ? end : mid;
 
     comm.send(partner, kTagSwapBase + 1 + stage,
-              pack_range(mine, send_begin, send_end));
-    const std::vector<std::byte> packed =
-        comm.recv(partner, kTagSwapBase + 1 + stage);
-    merge_range(mine, keep_begin, packed);
+              pack_range(frame, send_begin, send_end));
+    merge_range(frame, keep_begin,
+                comm.recv(partner, kTagSwapBase + 1 + stage));
     charge_blend(comm, keep_end - keep_begin);
 
     begin = keep_begin;
     end = keep_end;
   }
 
-  // Gather the distributed strips to rank 0.
+  // Gather the distributed strips straight into rank 0's frame. The strips
+  // of the pow2 set tile [0, npx), so every pixel outside rank 0's own
+  // strip is overwritten. Receives name their source: a rank that finishes
+  // early may already have sent its next call's gather message, which an
+  // any-source receive could take in place of a slower rank's strip.
   if (rank == 0) {
-    Image result = std::move(mine);
     for (int src = 1; src < size; ++src) {
-      int from = -1;
-      const std::vector<std::byte> packed = comm.recv_any(kTagGather, &from);
-      if (packed.empty()) continue;  // folded rank, owns nothing
-      std::int64_t src_begin = 0;
-      std::memcpy(&src_begin, packed.data(), sizeof src_begin);
-      store_range(result, src_begin,
-                  std::span<const std::byte>(packed).subspan(sizeof src_begin));
+      store_strip(frame, comm.recv(src, kTagGather));
     }
-    return result;
+    return true;
   }
-  std::vector<std::byte> payload(sizeof begin);
-  std::memcpy(payload.data(), &begin, sizeof begin);
-  const std::vector<std::byte> strip = pack_range(mine, begin, end);
-  payload.insert(payload.end(), strip.begin(), strip.end());
-  comm.send(0, kTagGather, payload);
-  return Image{};
+  comm.send(0, kTagGather,
+            pack_range(frame, begin, end,
+                       std::as_bytes(std::span(&begin, 1))));
+  return false;
 }
 
-Image composite(comm::Communicator& comm, const Image& local,
-                CompositeAlgorithm algorithm) {
+}  // namespace
+
+bool composite(comm::Communicator& comm, Image& frame,
+               CompositeAlgorithm algorithm) {
   switch (algorithm) {
-    case CompositeAlgorithm::kTree: return composite_tree(comm, local);
+    case CompositeAlgorithm::kTree: return composite_tree(comm, frame);
     case CompositeAlgorithm::kBinarySwap:
-      return composite_binary_swap(comm, local);
+      return composite_binary_swap(comm, frame);
   }
-  return Image{};
+  return false;
 }
 
 }  // namespace insitu::render

@@ -13,6 +13,13 @@
 // regions per stage — the Libsim-like default). Both really move pixels
 // between rank threads, so both their results and their virtual-time cost
 // structures are exercised. bench/ablation_compositing compares them.
+//
+// Compositing is in place and copy-free: each rank's frame is the working
+// buffer the partners' pixels merge into. A sender packs its range into a
+// buffer from pal::buffer_pool() and moves it into the message; the
+// receiver merges it and releases it back to the pool, so a step that
+// reuses its frames allocates nothing once the pool is warm. Virtual time
+// prices a message by its size only, so none of this moves a clock.
 
 #include "comm/communicator.hpp"
 #include "render/image.hpp"
@@ -21,13 +28,12 @@ namespace insitu::render {
 
 enum class CompositeAlgorithm { kTree, kBinarySwap };
 
-/// Depth-composite each rank's `local` image; the full composite lands on
-/// rank 0 (other ranks receive an empty Image). Collective. All ranks must
-/// pass identically-sized images.
-Image composite(comm::Communicator& comm, const Image& local,
-                CompositeAlgorithm algorithm);
-
-Image composite_tree(comm::Communicator& comm, const Image& local);
-Image composite_binary_swap(comm::Communicator& comm, const Image& local);
+/// Depth-composite every rank's `frame` (nearer fragment wins) into rank
+/// 0's `frame`. Collective; all ranks pass identically-sized frames.
+/// Returns true on rank 0, where `frame` now holds the full composite.
+/// Returns false elsewhere, leaving that rank's `frame` with unspecified
+/// (partially merged) contents: clear it before rendering into it again.
+bool composite(comm::Communicator& comm, Image& frame,
+               CompositeAlgorithm algorithm);
 
 }  // namespace insitu::render

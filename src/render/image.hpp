@@ -23,19 +23,21 @@ class Image {
   Image() = default;
   Image(int width, int height) { reset(width, height); }
 
+  // Move-only: a full-frame copy is explicit (clone()), never implicit.
   Image(Image&&) noexcept = default;
   Image& operator=(Image&&) noexcept = default;
+  Image(const Image&) = delete;
+  Image& operator=(const Image&) = delete;
 
-  // Copies re-register their tracked footprint against the copying rank.
-  Image(const Image& other) { *this = other; }
-  Image& operator=(const Image& other) {
-    if (this == &other) return *this;
-    width_ = other.width_;
-    height_ = other.height_;
-    pixels_ = other.pixels_;
-    depth_ = other.depth_;
-    tracked_.resize(pixels_.size() * (sizeof(Rgba) + sizeof(float)));
-    return *this;
+  /// Deep copy, charged to the calling rank's tracker.
+  Image clone() const {
+    Image copy;
+    copy.width_ = width_;
+    copy.height_ = height_;
+    copy.pixels_ = pixels_;
+    copy.depth_ = depth_;
+    copy.tracked_.resize(pixels_.size() * (sizeof(Rgba) + sizeof(float)));
+    return copy;
   }
 
   void reset(int width, int height) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -14,6 +16,7 @@
 #include "comm/runtime.hpp"
 #include "core/bridge.hpp"
 #include "miniapp/adaptor.hpp"
+#include "pal/memory_tracker.hpp"
 #include "test_dir.hpp"
 
 namespace insitu::backends {
@@ -669,6 +672,92 @@ TEST(ConfigurableAnalysis, InlineLibsimSession) {
   ASSERT_TRUE(analyses.ok());
   ASSERT_EQ(analyses->size(), 1u);
   EXPECT_EQ((*analyses)[0]->name(), "libsim-render");
+}
+
+/// Per-rank observations of a backend's persistent frame over a 2-rank,
+/// 3-step run.
+struct FrameLifetime {
+  std::vector<std::uint64_t> hashes;  ///< rank 0's last_image() per step
+  int storage_changes = 0;  ///< steps 2.. whose frame buffers were new
+  int tracker_mismatches = 0;  ///< ranks not back to their pre-init bytes
+};
+
+/// Runs `Backend` for 3 steps on 2 ranks. From step 1 on, the buffers a
+/// rank holds (its frame, plus last_image() on rank 0, which the two
+/// alternate with) must stay the same; after finalize() the rank's
+/// tracker must be back to its pre-initialize bytes, but for the kept
+/// last_image() on rank 0.
+template <typename Backend, typename Config>
+FrameLifetime frame_lifetime(const Config& config) {
+  FrameLifetime out;
+  std::atomic<int> changes{0}, mismatches{0};
+  const comm::RunReport report =
+      comm::Runtime::run(2, [&](comm::Communicator& comm) {
+        OscillatorSim sim(comm, sim_config());
+        sim.initialize();
+        OscillatorDataAdaptor adaptor(sim);
+        auto backend = std::make_shared<Backend>(config);
+        core::InSituBridge bridge(&comm);
+        bridge.add_analysis(backend);
+        const std::size_t before = pal::rank_memory_tracker().current_bytes();
+        ASSERT_TRUE(bridge.initialize().ok());
+        const auto buffers = [&] {
+          std::array<const void*, 2> held = {
+              backend->frame().pixels().data(),
+              backend->last_image().pixels().data()};
+          std::sort(held.begin(), held.end());
+          return held;
+        };
+        std::array<const void*, 2> step1{};
+        for (long s = 0; s < 3; ++s) {
+          ASSERT_TRUE(bridge.execute(adaptor, sim.time(), s).ok());
+          if (s == 1) step1 = buffers();
+          if (s > 1 && buffers() != step1) ++changes;
+          if (comm.rank() == 0) {
+            out.hashes.push_back(backend->last_image().color_hash());
+          }
+          sim.step();
+        }
+        ASSERT_TRUE(bridge.finalize().ok());
+        EXPECT_TRUE(backend->frame().empty());
+        const std::size_t kept =
+            backend->last_image().pixels().size() *
+            (sizeof(render::Rgba) + sizeof(float));
+        if (pal::rank_memory_tracker().current_bytes() != before + kept) {
+          ++mismatches;
+        }
+      });
+  EXPECT_FALSE(report.failed) << report.failure_message;
+  out.storage_changes = changes.load();
+  out.tracker_mismatches = mismatches.load();
+  return out;
+}
+
+TEST(CatalystSlice, FrameAllocatedOnceAndFreedAtFinalize) {
+  CatalystSliceConfig cfg;
+  cfg.image_width = 96;
+  cfg.image_height = 64;
+  const FrameLifetime run = frame_lifetime<CatalystSlice>(cfg);
+  EXPECT_EQ(run.storage_changes, 0);
+  EXPECT_EQ(run.tracker_mismatches, 0);
+  // Recorded with the out-of-place compositor the frame path replaced.
+  EXPECT_EQ(run.hashes,
+            (std::vector<std::uint64_t>{18178374376440636111ULL,
+                                        9023441231598697279ULL,
+                                        7863455699044849335ULL}));
+}
+
+TEST(LibsimRender, FrameAllocatedOnceAndFreedAtFinalize) {
+  LibsimConfig cfg;
+  cfg.session_text = kSession;
+  const FrameLifetime run = frame_lifetime<LibsimRender>(cfg);
+  EXPECT_EQ(run.storage_changes, 0);
+  EXPECT_EQ(run.tracker_mismatches, 0);
+  // Recorded with the out-of-place compositor the frame path replaced.
+  EXPECT_EQ(run.hashes,
+            (std::vector<std::uint64_t>{6729587990011004448ULL,
+                                        2907855766703308201ULL,
+                                        16959029180023198587ULL}));
 }
 
 /// The portability demonstration (§3.2): one instrumented simulation, one

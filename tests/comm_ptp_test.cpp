@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "comm/runtime.hpp"
+#include "obs/metrics.hpp"
 
 namespace insitu::comm {
 namespace {
@@ -258,6 +262,102 @@ TEST(PointToPoint, StartupModelChargesLaunchCost) {
   opts.model_startup = true;
   RunReport report = Runtime::run(4, opts, [](Communicator&) {});
   EXPECT_GT(report.max_virtual_seconds(), 0.0);
+}
+
+/// What one rank-0 → rank-1 message looked like from both ends.
+struct SendTrace {
+  double arrival = 0.0;           ///< receiver clock after recv
+  std::int64_t bytes_sent = 0;    ///< comm.bytes_sent{op=p2p} on rank 0
+  std::int64_t messages_sent = 0; ///< comm.messages_sent on rank 0
+  bool same_buffer = false;       ///< receiver got the sender's buffer
+  bool intact = false;            ///< payload bytes arrived unchanged
+};
+
+SendTrace trace_send(SchedBackend backend, bool by_move) {
+  SendTrace out;
+  std::atomic<const std::byte*> sent{nullptr};
+  Runtime::Options options;
+  options.sched.backend = backend;
+  options.sched.workers = 2;
+  const RunReport report = Runtime::run(2, options, [&](Communicator& comm) {
+    constexpr std::size_t kBytes = 3 << 20;
+    if (comm.rank() == 0) {
+      comm.advance_compute(2e-3);  // sender runs ahead of the receiver
+      std::vector<std::byte> payload(kBytes, std::byte{0x5a});
+      sent = payload.data();
+      if (by_move) {
+        comm.send(1, 4, std::move(payload));
+      } else {
+        comm.send(1, 4, std::span<const std::byte>(payload));
+      }
+      out.bytes_sent =
+          obs::metrics().counter("comm.bytes_sent", {{"op", "p2p"}}).value();
+      out.messages_sent = obs::metrics().counter("comm.messages_sent").value();
+    } else {
+      const std::vector<std::byte> got = comm.recv(0, 4);
+      out.arrival = comm.clock().now();
+      out.same_buffer = got.data() == sent.load();
+      out.intact = got.size() == kBytes &&
+                   std::all_of(got.begin(), got.end(), [](std::byte b) {
+                     return b == std::byte{0x5a};
+                   });
+    }
+  });
+  EXPECT_FALSE(report.failed) << report.failure_message;
+  return out;
+}
+
+class SendByMove : public ::testing::TestWithParam<SchedBackend> {};
+INSTANTIATE_TEST_SUITE_P(Sched, SendByMove,
+                         ::testing::Values(SchedBackend::kThreads,
+                                           SchedBackend::kMn),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+/// The move overload hands the sender's buffer itself to the receiver,
+/// and is priced and counted exactly like the copying span overload.
+TEST_P(SendByMove, DeliversTheSentBufferAtTheSameCost) {
+  const SendTrace moved = trace_send(GetParam(), /*by_move=*/true);
+  const SendTrace copied = trace_send(GetParam(), /*by_move=*/false);
+  EXPECT_TRUE(moved.same_buffer);
+  EXPECT_FALSE(copied.same_buffer);
+  EXPECT_TRUE(moved.intact);
+  EXPECT_TRUE(copied.intact);
+  EXPECT_EQ(moved.arrival, copied.arrival);  // bit-identical virtual time
+  EXPECT_GT(moved.arrival, 2e-3);
+  EXPECT_EQ(moved.bytes_sent, copied.bytes_sent);
+  EXPECT_EQ(moved.bytes_sent, 3 << 20);
+  EXPECT_EQ(moved.messages_sent, copied.messages_sent);
+  EXPECT_EQ(moved.messages_sent, 1);
+}
+
+/// `send(d, t, {})` still means an empty span, and an lvalue vector is
+/// copied (the span overload), not moved from.
+TEST_P(SendByMove, BracedEmptyAndLvalueStillCopy) {
+  std::atomic<int> failures{0};
+  Runtime::Options options;
+  options.sched.backend = GetParam();
+  options.sched.workers = 2;
+  Runtime::run(2, options, [&](Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.send(1, 8, {});
+      std::vector<std::byte> kept(16, std::byte{1});
+      comm.send(1, 9, kept);
+      if (kept.size() != 16) ++failures;
+      if (obs::metrics().counter("comm.bytes_sent", {{"op", "p2p"}}).value() !=
+          16) {
+        ++failures;
+      }
+      if (obs::metrics().counter("comm.messages_sent").value() != 2) {
+        ++failures;
+      }
+    } else {
+      if (!comm.recv(0, 8).empty()) ++failures;
+      if (comm.recv(0, 9).size() != 16) ++failures;
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "analysis/contour.hpp"
 #include "comm/runtime.hpp"
@@ -164,9 +166,10 @@ TEST_P(CompositorP, TreeAndBinarySwapAgree) {
             Rgba{0, static_cast<std::uint8_t>(100 + comm.rank()), 0, 255};
         local.depth(x, 0) = static_cast<float>(comm.rank() + 2);
       }
-      Image result = composite(comm, local, algo);
+      const bool root = composite(comm, local, algo);
+      const Image& result = local;
       if (comm.rank() == 0) {
-        if (result.empty()) {
+        if (!root) {
           ++failures;
           return;
         }
@@ -181,7 +184,7 @@ TEST_P(CompositorP, TreeAndBinarySwapAgree) {
           if (result.pixel(16, y).r != 50 + r) ++failures;
         }
         hash = result.color_hash();
-      } else if (!result.empty()) {
+      } else if (root) {
         ++failures;
       }
     });
@@ -198,11 +201,142 @@ TEST(Compositor, VirtualTimeGrowsWithImageSize) {
     opts.machine = comm::cori_haswell();
     auto report = comm::Runtime::run(8, opts, [&](comm::Communicator& comm) {
       Image local(dim, dim);
-      (void)composite_tree(comm, local);
+      (void)composite(comm, local, CompositeAlgorithm::kTree);
     });
     return report.max_virtual_seconds();
   };
   EXPECT_GT(cost(256), cost(32));
+}
+
+/// Rank `rank`'s frame for the in-place tests, written into `frame`'s
+/// existing storage as a backend re-renders its persistent frame. About a
+/// quarter of the pixels stay background (infinite depth, same color on
+/// every rank); the rest get a rank-specific color at a depth no other
+/// rank shares for that pixel, so the composite does not depend on the
+/// order partners merge in.
+void fill_rank_frame(Image& frame, int rank, int ranks) {
+  frame.clear(Rgba{10, 20, 30, 0});
+  pal::Rng rng = pal::Rng(2024).split(static_cast<std::uint64_t>(rank));
+  for (int y = 0; y < frame.height(); ++y) {
+    for (int x = 0; x < frame.width(); ++x) {
+      const std::uint64_t r = rng.next_u64();
+      if ((r & 3) == 0) continue;
+      frame.pixel(x, y) = Rgba{static_cast<std::uint8_t>(r >> 8),
+                               static_cast<std::uint8_t>(r >> 16),
+                               static_cast<std::uint8_t>(40 + rank), 255};
+      frame.depth(x, y) =
+          static_cast<float>(((r >> 24) % 16) * ranks + rank) + 0.5f;
+    }
+  }
+}
+
+/// Serial reference: rank 0's frame with every other rank's merged over it
+/// in rank order.
+Image serial_composite(int ranks, int width, int height) {
+  Image reference(width, height);
+  fill_rank_frame(reference, 0, ranks);
+  Image other(width, height);
+  for (int r = 1; r < ranks; ++r) {
+    fill_rank_frame(other, r, ranks);
+    reference.composite_over(other);
+  }
+  return reference;
+}
+
+struct InPlaceResult {
+  std::vector<Rgba> pixels[2];  ///< rank 0's frame after each call
+  std::vector<float> depths[2];
+  int roots = 0;                ///< ranks whose call returned true
+  bool storage_kept = true;     ///< every frame kept its buffers
+};
+
+/// Two composites on the same persistent frames, re-rendered in between
+/// as a backend does from one step to the next.
+InPlaceResult run_in_place(int ranks, comm::SchedBackend backend,
+                           CompositeAlgorithm algorithm) {
+  constexpr int kWidth = 40;
+  constexpr int kHeight = 24;
+  InPlaceResult out;
+  std::atomic<int> roots{0};
+  std::atomic<bool> kept{true};
+  comm::Runtime::Options options;
+  options.sched.backend = backend;
+  options.sched.workers = 2;
+  const comm::RunReport report =
+      comm::Runtime::run(ranks, options, [&](comm::Communicator& comm) {
+        Image frame(kWidth, kHeight);
+        const Rgba* pixels = frame.pixels().data();
+        const float* depths = frame.depths().data();
+        for (int call = 0; call < 2; ++call) {
+          fill_rank_frame(frame, comm.rank(), ranks);
+          const bool root = composite(comm, frame, algorithm);
+          if (root) {
+            ++roots;
+            if (comm.rank() == 0) {
+              out.pixels[call] = frame.pixels();
+              out.depths[call] = frame.depths();
+            }
+          }
+        }
+        if (frame.pixels().data() != pixels ||
+            frame.depths().data() != depths) {
+          kept = false;
+        }
+      });
+  EXPECT_FALSE(report.failed) << report.failure_message;
+  out.roots = roots.load();
+  out.storage_kept = kept.load();
+  return out;
+}
+
+class CompositeInPlace
+    : public ::testing::TestWithParam<std::tuple<int, comm::SchedBackend>> {};
+INSTANTIATE_TEST_SUITE_P(
+    RanksSched, CompositeInPlace,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 8),
+                       ::testing::Values(comm::SchedBackend::kThreads,
+                                         comm::SchedBackend::kMn)),
+    [](const auto& info) {
+      return "P" + std::to_string(std::get<0>(info.param)) + "_" +
+             comm::to_string(std::get<1>(info.param));
+    });
+
+/// Rank 0's frame equals the serial rank-order reference pixel for pixel
+/// and depth for depth, for both algorithms and on a repeated call; tree
+/// and binary swap agree; frames are merged into, never reallocated.
+TEST_P(CompositeInPlace, MatchesSerialReferenceEveryCall) {
+  const auto [ranks, backend] = GetParam();
+  const Image reference = serial_composite(ranks, 40, 24);
+  const InPlaceResult tree =
+      run_in_place(ranks, backend, CompositeAlgorithm::kTree);
+  const InPlaceResult swap =
+      run_in_place(ranks, backend, CompositeAlgorithm::kBinarySwap);
+  for (const InPlaceResult* result : {&tree, &swap}) {
+    EXPECT_EQ(result->roots, 2);  // rank 0, once per call
+    EXPECT_TRUE(result->storage_kept);
+    for (int call = 0; call < 2; ++call) {
+      EXPECT_TRUE(result->pixels[call] == reference.pixels()) << call;
+      EXPECT_TRUE(result->depths[call] == reference.depths()) << call;
+    }
+  }
+  EXPECT_TRUE(tree.pixels[0] == swap.pixels[0]);
+  EXPECT_TRUE(tree.depths[0] == swap.depths[0]);
+}
+
+TEST(Compositor, ImageCloneIsADeepCopy) {
+  Image a(3, 2);
+  a.pixel(1, 1) = Rgba{1, 2, 3, 4};
+  a.depth(1, 1) = 0.5f;
+  Image b = a.clone();
+  EXPECT_NE(b.pixels().data(), a.pixels().data());
+  EXPECT_EQ(b.width(), 3);
+  EXPECT_EQ(b.height(), 2);
+  EXPECT_EQ(b.pixel(1, 1), (Rgba{1, 2, 3, 4}));
+  EXPECT_EQ(b.depth(1, 1), 0.5f);
+  b.pixel(1, 1) = Rgba{};
+  EXPECT_EQ(a.pixel(1, 1), (Rgba{1, 2, 3, 4}));
+  static_assert(!std::is_copy_constructible_v<Image>);
+  static_assert(!std::is_copy_assignable_v<Image>);
 }
 
 TEST(Png, Crc32KnownVector) {

@@ -1,28 +1,27 @@
-// Ablation: collective engines (flat / tree).
+// Ablation: the combining-tree collective engine under both scheduler
+// backends.
 //
-// The hierarchical collective engine's contract (docs/SCALING.md) is
-// that *how* a rendezvous executes is invisible to *what* it computes:
-// combining contributions through arity-wide slot trees with targeted
-// wakeups must yield exactly the results of the flat single-slot engine,
-// under either scheduler backend. Three phases:
+// The engine's contract (docs/SCALING.md) is that *how* a rendezvous
+// executes is invisible to *what* it computes: virtual time comes from
+// MachineModel charges and reductions fold in a canonical order, so the
+// results must not depend on the scheduler backend or on arrival order.
+// Three phases:
 //
 //   1. identity — the executed oscillator + histogram + Catalyst-slice
-//      pipeline per (engine, backend) arm with a deliberately small
-//      arity (4) so even 16 executed ranks exercise a multi-level tree;
-//      gates bit-identical per-rank virtual times, histogram contents,
-//      and rendered-image hashes across all arms.
+//      pipeline under sched=threads and sched=mn with a deliberately
+//      small arity (4) so even 16 executed ranks exercise a multi-level
+//      tree; gates bit-identical per-rank virtual times, histogram
+//      contents, and rendered-image hashes across both arms.
 //   2. determinism — a chained floating-point sum allreduce (the
-//      order-sensitive case) run repeatedly per arm at 96 ranks /
-//      arity 4; gates bit-identical results across repeats, engines,
-//      and backends. This is what the canonical blocked combine
-//      schedule buys: the fold order depends only on (P, arity), never
-//      on arrival order.
+//      order-sensitive case) run twice per backend at 96 ranks /
+//      arity 4; gates bit-identical results across repeats and
+//      backends. This is what the canonical blocked combine schedule
+//      buys: the fold order depends only on (P, arity), never on
+//      arrival order.
 //   3. wall — a collective-heavy loop (barrier + allreduce + allgather
-//      + periodic gatherv) at 4K/10K executed ranks under sched=mn,
-//      engine flat vs tree. Reports wall clock per arm and gates the
-//      tree engine >= 2x faster at exactly 10240 ranks (optimized,
-//      unsanitized builds only). `ranks=` replaces the wall rank list —
-//      e.g. `ranks=45440` for the paper-scale report-only run.
+//      + periodic gatherv) at 4K/10K executed ranks under sched=mn at
+//      the default arity. Reports wall clock only. `ranks=` replaces
+//      the rank list — e.g. `ranks=45440` for the paper-scale run.
 
 #include <atomic>
 #include <chrono>
@@ -35,7 +34,6 @@
 
 #include "analysis/histogram.hpp"
 #include "backends/catalyst.hpp"
-#include "comm/coll.hpp"
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
 #include "core/bridge.hpp"
@@ -48,32 +46,18 @@ namespace {
 
 using namespace insitu;
 
-// Virtual-time identity gates always run; the wall-clock speedup gate is
-// meaningless under sanitizers or without optimization.
-#if defined(__OPTIMIZE__) && !defined(__SANITIZE_THREAD__) && \
-    !defined(__SANITIZE_ADDRESS__)
-constexpr bool kWallGates = true;
-#else
-constexpr bool kWallGates = false;
-#endif
-
 constexpr int kSteps = 10;
 constexpr int kIdentityArity = 4;
 constexpr int kWallIters = 16;
-constexpr int kWallGateRanks = 10240;
-constexpr double kWallGateSpeedup = 2.0;
 
 struct Arm {
-  const char* name;
-  comm::CollEngine engine;
+  const char* name;  ///< run-label part; "tree/" keeps the baseline labels
   comm::SchedBackend backend;
 };
 
 constexpr Arm kIdentityArms[] = {
-    {"flat/threads", comm::CollEngine::kFlat, comm::SchedBackend::kThreads},
-    {"tree/threads", comm::CollEngine::kTree, comm::SchedBackend::kThreads},
-    {"flat/mn", comm::CollEngine::kFlat, comm::SchedBackend::kMn},
-    {"tree/mn", comm::CollEngine::kTree, comm::SchedBackend::kMn},
+    {"tree/threads", comm::SchedBackend::kThreads},
+    {"tree/mn", comm::SchedBackend::kMn},
 };
 
 struct ArmResult {
@@ -85,16 +69,14 @@ struct ArmResult {
 };
 
 /// The standard ablation pipeline (same as bench/ablation_sched) under
-/// one (engine, backend) arm. The engine default is process-global and
-/// read at world-group creation, so it is set per run.
+/// one backend arm at kIdentityArity.
 ArmResult run_identity_arm(const Arm& arm, int ranks,
                            const std::string& label) {
   ArmResult result;
   bench::ObsSession* obs = bench::ObsSession::current();
-  comm::set_default_coll_engine(arm.engine);
-  comm::set_default_coll_arity(kIdentityArity);
   comm::Runtime::Options options = bench::ablation_options();
   options.sched.backend = arm.backend;
+  options.coll_arity = kIdentityArity;
 
   const auto wall0 = std::chrono::steady_clock::now();
   comm::RunReport report = comm::Runtime::run(
@@ -143,14 +125,12 @@ ArmResult run_identity_arm(const Arm& arm, int ranks,
 /// from its rank, and each round feeds the previous result back in, so
 /// any combine-order difference compounds instead of cancelling.
 /// Returns the final bit pattern (identical on all ranks; rank 0's).
-std::vector<std::uint64_t> run_float_determinism_arm(comm::CollEngine engine,
-                                                     comm::SchedBackend backend,
-                                                     int ranks) {
-  comm::set_default_coll_engine(engine);
-  comm::set_default_coll_arity(kIdentityArity);
+std::vector<std::uint64_t> run_float_determinism_arm(
+    comm::SchedBackend backend, int ranks) {
   comm::Runtime::Options options = bench::ablation_options();
   options.observe.trace = false;
   options.sched.backend = backend;
+  options.coll_arity = kIdentityArity;
 
   constexpr std::size_t kValues = 16;
   std::vector<std::uint64_t> bits(kValues, 0);
@@ -180,9 +160,7 @@ std::vector<std::uint64_t> run_float_determinism_arm(comm::CollEngine engine,
 
 /// Collective-heavy loop at large executed scale: no simulation, just
 /// the rendezvous traffic of a tightly coupled analysis pipeline.
-double run_wall_arm(comm::CollEngine engine, int ranks) {
-  comm::set_default_coll_engine(engine);
-  comm::set_default_coll_arity(comm::kDefaultCollArity);
+double run_wall(int ranks) {
   comm::Runtime::Options options = bench::ablation_options();
   options.observe.trace = false;  // 10K-rank traces would dominate the wall
   options.sched.backend = comm::SchedBackend::kMn;
@@ -197,10 +175,7 @@ double run_wall_arm(comm::CollEngine engine, int ranks) {
       comm.barrier();
       comm.allreduce(std::span<double>(payload, 8), comm::ReduceOp::kSum);
       if (iter % 4 == 1) {
-        // The engine-defining op: the tree engine hands back an aliased
-        // view of the shared table, the flat engine deep-copies all P
-        // contributions to every rank like the original single-slot
-        // implementation did.
+        // Every rank gets an aliased view of the one shared table.
         const comm::BlobTablePtr table = comm.allgather_blobs(
             std::as_bytes(std::span<const double>(payload, 8)));
         local += table->front()->size() + table->back()->size();
@@ -221,7 +196,7 @@ double run_wall_arm(comm::CollEngine engine, int ranks) {
 
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv);
-  std::printf("=== bench: ablation — collective engines ===\n");
+  std::printf("=== bench: ablation — collective engine ===\n");
   int rc = 0;
 
   // ---- phase 1: identity ----
@@ -270,8 +245,8 @@ int main(int argc, char** argv) {
         }
       }
     }
-    table.add_note("engines must be interchangeable: bit-identical per-rank "
-                   "virtual times, histograms, and images per backend");
+    table.add_note("backends must be interchangeable: bit-identical per-rank "
+                   "virtual times, histograms, and images");
     table.print();
   }
 
@@ -283,7 +258,7 @@ int main(int argc, char** argv) {
     for (const Arm& arm : kIdentityArms) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         const std::vector<std::uint64_t> bits =
-            run_float_determinism_arm(arm.engine, arm.backend, kRanks);
+            run_float_determinism_arm(arm.backend, kRanks);
         if (reference.empty()) {
           reference = bits;
         } else if (bits != reference) {
@@ -296,14 +271,14 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("\nfloat allreduce determinism (%d ranks, arity %d, "
-                "8 chained sums x 2 repeats x 4 arms): %s\n",
+                "8 chained sums x 2 repeats x 2 backends): %s\n",
                 kRanks, kIdentityArity,
                 determinism_ok ? "bit-identical" : "FAILED");
   }
 
   // ---- phase 3: wall clock at scale ----
   {
-    std::vector<int> rank_counts = {4096, kWallGateRanks};
+    std::vector<int> rank_counts = {4096, 10240};
     if (bench::ObsSession::current() != nullptr &&
         !bench::ObsSession::current()->ranks_override().empty()) {
       rank_counts = bench::ObsSession::current()->ranks_override();
@@ -311,36 +286,14 @@ int main(int argc, char** argv) {
     pal::TablePrinter table(
         "Collective-heavy loop (sched=mn, " + std::to_string(kWallIters) +
         " iters of barrier+allreduce, allgather + gatherv every 4th)");
-    table.set_header(
-        {"ranks", "flat wall (s)", "tree wall (s)", "speedup", "gate"});
+    table.set_header({"ranks", "wall (s)"});
     for (const int ranks : rank_counts) {
-      const double flat_wall = run_wall_arm(comm::CollEngine::kFlat, ranks);
-      const double tree_wall = run_wall_arm(comm::CollEngine::kTree, ranks);
-      const double speedup = tree_wall > 0.0 ? flat_wall / tree_wall : 0.0;
-      const bool gated = kWallGates && ranks == kWallGateRanks;
-      std::string verdict = "report-only";
-      if (gated) {
-        if (speedup >= kWallGateSpeedup) {
-          verdict = ">=2x ok";
-        } else {
-          verdict = "FAIL";
-          std::fprintf(stderr,
-                       "FAIL: tree engine %.2fx faster than flat at %d ranks "
-                       "(gate: >= %.1fx)\n",
-                       speedup, ranks, kWallGateSpeedup);
-          rc = 1;
-        }
-      }
       table.add_row({std::to_string(ranks),
-                     pal::TablePrinter::num(flat_wall, 3),
-                     pal::TablePrinter::num(tree_wall, 3),
-                     pal::TablePrinter::num(speedup, 2) + "x", verdict});
+                     pal::TablePrinter::num(run_wall(ranks), 3)});
     }
-    table.add_note("wall seconds are host-dependent; only the flat/tree "
-                   "ratio at " + std::to_string(kWallGateRanks) +
-                   " ranks gates (optimized, unsanitized builds)");
+    table.add_note("wall seconds are host-dependent and report-only");
     table.add_note("ranks= replaces the list, e.g. ranks=45440 for the "
-                   "paper-scale report-only run");
+                   "paper-scale run");
     table.print();
   }
 

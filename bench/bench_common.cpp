@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "comm/coll.hpp"
 #include "comm/sched.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/analyze/baseline.hpp"
@@ -67,51 +66,17 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
     if (std::strcmp(argv[i], "--sched") == 0) sched = argv[i + 1];
   }
   if (!sched.empty()) {
-    const auto backend = comm::parse_sched_backend(sched);
-    if (!backend.has_value()) {
+    sched_ = comm::parse_sched_backend(sched);
+    if (!sched_.has_value()) {
       std::fprintf(stderr,
                    "error: sched=%s is not a scheduler backend "
                    "(expected threads|mn)\n",
                    sched.c_str());
       std::exit(2);
     }
-    comm::set_default_sched_backend(*backend);
-    sched_ = comm::to_string(*backend);
   }
   sched_workers_ = static_cast<int>(args.get_int_or("sched_workers", 0));
   if (sched_workers_ < 0) sched_workers_ = 0;
-  // Collective engine: `coll=NAME` or `--coll NAME`, plus the combining
-  // tree fan-in `coll_arity=N`. Like the scheduler backend, running the
-  // wrong engine invalidates what the bench claims to compare, so bad
-  // values are hard errors.
-  std::string coll = args.get_string_or("coll", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--coll") == 0) coll = argv[i + 1];
-  }
-  if (!coll.empty()) {
-    const auto engine = comm::parse_coll_engine(coll);
-    if (!engine.has_value()) {
-      std::fprintf(stderr,
-                   "error: coll=%s is not a collective engine "
-                   "(expected flat|tree)\n",
-                   coll.c_str());
-      std::exit(2);
-    }
-    comm::set_default_coll_engine(*engine);
-    coll_ = comm::to_string(*engine);
-  }
-  const long long coll_arity = args.get_int_or("coll_arity", 0);
-  if (coll_arity != 0) {
-    if (coll_arity < comm::kMinCollArity || coll_arity > INT_MAX) {
-      std::fprintf(stderr,
-                   "error: coll_arity=%lld is not a combining-tree arity "
-                   "(expected an integer >= %d)\n",
-                   coll_arity, comm::kMinCollArity);
-      std::exit(2);
-    }
-    comm::set_default_coll_arity(static_cast<int>(coll_arity));
-    coll_arity_ = static_cast<int>(coll_arity);
-  }
   // Executed rank counts: `ranks=N[,M...]` or `--ranks N[,M...]`.
   std::string ranks_text = args.get_string_or("ranks", "");
   for (int i = 1; i + 1 < argc; ++i) {
@@ -191,9 +156,7 @@ void ObsSession::record(const std::string& label,
   std::string full =
       threads_ > 1 ? label + "/t" + std::to_string(threads_) : label;
   if (!kernels_.empty()) full += "/k" + kernels_;
-  if (!sched_.empty()) full += "/s" + sched_;
-  if (!coll_.empty()) full += "/c" + coll_;
-  if (coll_arity_ > 0) full += "/a" + std::to_string(coll_arity_);
+  if (sched_) full += std::string("/s") + comm::to_string(*sched_);
   if (trace_enabled()) {
     traces_.push_back({full, report.trace});
     seeds_.push_back(report.seed);
@@ -347,13 +310,20 @@ miniapp::OscillatorConfig executed_sim_config(
 
 }  // namespace
 
-comm::Runtime::Options ablation_options() {
+comm::Runtime::Options session_options() {
   comm::Runtime::Options options;
+  const ObsSession* obs = ObsSession::current();
+  if (obs == nullptr) return options;
+  options.observe.trace = obs->trace_enabled();
+  if (obs->sched_backend()) options.sched.backend = *obs->sched_backend();
+  options.sched.workers = obs->sched_workers();
+  return options;
+}
+
+comm::Runtime::Options ablation_options() {
+  comm::Runtime::Options options = session_options();
   options.machine = comm::cori_haswell();
   options.seed = 7;
-  ObsSession* obs = ObsSession::current();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
-  if (obs != nullptr) options.sched.workers = obs->sched_workers();
   return options;
 }
 
@@ -376,11 +346,9 @@ RunResult run_miniapp_config(MiniappConfig config,
 
   ObsSession* obs = ObsSession::current();
 
-  comm::Runtime::Options options;
+  comm::Runtime::Options options = session_options();
   options.machine = params.machine;
   options.seed = 7;
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
-  if (obs != nullptr) options.sched.workers = obs->sched_workers();
 
   comm::RunReport report = comm::Runtime::run(
       params.ranks, options, [&](comm::Communicator& comm) {

@@ -72,20 +72,12 @@ class ObsSession {
   /// `--kernels NAME`; empty when running the process default.
   const std::string& kernels_variant() const { return kernels_; }
   /// Scheduler backend requested via `sched=NAME` / `--sched NAME`;
-  /// empty when running the process default (INSITU_SCHED or threads).
-  /// An explicit request also becomes the process default, so every
-  /// Runtime::Options constructed afterwards picks it up.
-  const std::string& sched_backend_name() const { return sched_; }
+  /// nullopt when none was given (runs use threads). session_options()
+  /// carries it into every run.
+  std::optional<comm::SchedBackend> sched_backend() const { return sched_; }
   /// Carrier workers for the mn backend (`sched_workers=N`); 0 = one per
   /// hardware thread.
   int sched_workers() const { return sched_workers_; }
-  /// Collective engine requested via `coll=NAME` / `--coll NAME`; empty
-  /// when running the process default (INSITU_COLL or tree). An explicit
-  /// request also becomes the process default, like `sched=`.
-  const std::string& coll_engine_name() const { return coll_; }
-  /// Combining-tree arity requested via `coll_arity=N`; 0 when running
-  /// the process default (INSITU_COLL_ARITY or 64).
-  int coll_arity() const { return coll_arity_; }
   /// Executed rank counts requested via `ranks=N[,M...]` / `--ranks ...`;
   /// empty when the bench should use its own defaults. Values are
   /// validated at parse time (positive, no overflow) — an invalid list
@@ -125,10 +117,8 @@ class ObsSession {
   std::vector<kernels::StatsSnapshot> kernels_runs_;
   kernels::StatsSnapshot kernels_last_;
   std::string kernels_;  ///< requested dispatch variant ("" = default)
-  std::string sched_;    ///< requested scheduler backend ("" = default)
+  std::optional<comm::SchedBackend> sched_;  ///< requested backend
   int sched_workers_ = 0;
-  std::string coll_;     ///< requested collective engine ("" = default)
-  int coll_arity_ = 0;   ///< requested combining-tree arity (0 = default)
   std::vector<int> ranks_;  ///< executed-rank override (empty = default)
   int threads_ = 1;
   bool finished_ = false;
@@ -192,9 +182,15 @@ struct MiniappBenchParams {
 RunResult run_miniapp_config(MiniappConfig config,
                              const MiniappBenchParams& params);
 
-/// Standard ablation-bench Runtime options: Cori Haswell machine,
-/// seed 7, tracing wired to the current ObsSession (off when no session
-/// is installed or no --trace/--baseline flag was given).
+/// Runtime options for one bench run, built from the current ObsSession:
+/// its `sched=` backend and `sched_workers=`, and tracing when
+/// --trace/--baseline was given. Without a session (or a flag) they are
+/// the Options defaults. Every bench starts its runs' options here, so
+/// `sched=` reaches every run.
+comm::Runtime::Options session_options();
+
+/// Standard ablation-bench Runtime options: session_options() on the
+/// Cori Haswell machine with seed 7.
 comm::Runtime::Options ablation_options();
 
 /// The standard single-source ablation workload: one periodic

@@ -37,9 +37,8 @@ FlexPathResult run_flexpath(EndpointWorkload workload, int pairs, int steps) {
   FlexPathResult result;
   std::atomic<bool> done{false};
   ObsSession* obs = ObsSession::current();
-  comm::Runtime::Options options;
+  comm::Runtime::Options options = session_options();
   options.machine = comm::cori_haswell();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
 
   comm::RunReport report = comm::Runtime::run(2 * pairs, options, [&](comm::Communicator& world) {
     const bool is_writer = world.rank() < pairs;

@@ -27,9 +27,8 @@ void executed_table() {
   const int writers = 8;
   const int steps = 3;
   ObsSession* obs = ObsSession::current();
-  comm::Runtime::Options options;
+  comm::Runtime::Options options = session_options();
   options.machine = comm::cori_haswell();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
   comm::RunReport produce = comm::Runtime::run(
       writers, options, [&](comm::Communicator& comm) {
     miniapp::OscillatorConfig cfg;

@@ -55,9 +55,8 @@ void executed_run() {
       "every 5 steps");
   fig16.set_header({"step", "sensei analyze (s)", "rendered?"});
   bench::ObsSession* obs = bench::ObsSession::current();
-  comm::Runtime::Options options;
+  comm::Runtime::Options options = bench::session_options();
   options.machine = comm::titan();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
   std::vector<double> per_step(15, 0.0);
   long images = 0;
   comm::RunReport report = comm::Runtime::run(4, options, [&](comm::Communicator& comm) {

@@ -26,9 +26,8 @@ void executed_run() {
   bench::ObsSession* obs = bench::ObsSession::current();
   for (const char* which : {"histogram", "slice"}) {
     double solver = 0.0, analysis_cost = 0.0;
-    comm::Runtime::Options options;
+    comm::Runtime::Options options = bench::session_options();
     options.machine = comm::cori_haswell();
-    options.observe.trace = obs != nullptr && obs->trace_enabled();
     comm::RunReport report = comm::Runtime::run(4, options, [&](comm::Communicator& comm) {
       proxy::NyxConfig cfg;
       cfg.global_cells = {16, 16, 16};

@@ -84,7 +84,7 @@ int run(int argc, const char* const* argv) {
   service::ServiceOptions options;
   options.runners = runners;
   options.policy = *policy;
-  options.sched = comm::default_sched_backend();  // sched= already applied
+  options.sched = session_options().sched.backend;
   options.sched_workers = 2;
 
   // ---- concurrent phase ----

@@ -71,8 +71,9 @@ void fig10_executed() {
 
     // Baseline + per-step file-per-rank writes (real files).
     double write_per_step = 0.0, sim_per_step = 0.0, init = 0.0;
-    comm::Runtime::Options options;
+    comm::Runtime::Options options = session_options();
     options.machine = comm::cori_haswell();
+    options.observe.trace = false;  // not recorded
     comm::Runtime::run(p, options, [&](comm::Communicator& comm) {
       const double t0 = comm.clock().now();
       miniapp::OscillatorConfig cfg;

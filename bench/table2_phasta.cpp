@@ -87,11 +87,9 @@ void executed_weak_scaling() {
   for (const int p : bench::executed_ranks()) {
     double onetime = 0.0;
     double step_cost = 0.0;
-    comm::Runtime::Options options;
+    comm::Runtime::Options options = bench::session_options();
     options.machine = comm::mira_bgq();
     options.seed = 7;
-    options.observe.trace = obs != nullptr && obs->trace_enabled();
-    if (obs != nullptr) options.sched.workers = obs->sched_workers();
     const comm::RunReport report =
         comm::Runtime::run(p, options, [&](comm::Communicator& comm) {
           proxy::PhastaConfig cfg;
@@ -139,8 +137,9 @@ void toy_compression_ablation() {
   table.set_header({"png compression", "in situ/step (s)", "paper"});
   for (const bool compress : {true, false}) {
     double step_cost = 0.0;
-    comm::Runtime::Options options;
+    comm::Runtime::Options options = bench::session_options();
     options.machine = comm::mira_bgq();
+    options.observe.trace = false;  // not recorded
     comm::Runtime::run(8, options, [&](comm::Communicator& comm) {
       proxy::PhastaConfig cfg;
       cfg.cells_per_rank = {6, 6, 6};

@@ -1,7 +1,7 @@
 #include "comm/communicator.hpp"
 
-#include "comm/coll.hpp"
 #include "comm/group_factory.hpp"
+#include "comm/runtime.hpp"
 #include "exec/fiber.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
@@ -100,10 +100,9 @@ struct CollStats {
 /// schedule: consecutive blocks of `arity` fold left to right, and the
 /// block partials fold recursively under the same rule. The schedule
 /// depends only on (item count, arity) — never on arrival order — which
-/// is what makes floating-point reductions bit-identical across runs,
-/// sched backends, and engines: the tree engine's per-slot folds compose
-/// to exactly this schedule, and the flat engine calls it directly when
-/// its single slot completes.
+/// is what makes floating-point reductions bit-identical across runs and
+/// sched backends: the combining tree's per-slot folds compose to
+/// exactly this schedule.
 void canonical_fold(std::span<const std::byte* const> items, std::size_t bytes,
                     int arity, const CombineFn& combine,
                     std::vector<std::byte>& out) {
@@ -160,11 +159,7 @@ struct CollOutcome {
 /// touches the next level. The rank completing the root slot finalizes
 /// the shared CollOutcome and publishes it back down the slots it
 /// completed; parked members wake through generation-tagged targeted
-/// notifies and read the outcome without copying. The flat engine is the
-/// degenerate single-slot tree (every rank serializes through one mutex
-/// and one wake herd — kept as the measurable baseline), but it folds
-/// with the same canonical schedule, so both engines produce identical
-/// bits.
+/// notifies and read the outcome without copying.
 ///
 /// Blocking here must be fiber-aware: under the M:N scheduler a rank
 /// that waits on an unmatched receive or an incomplete rendezvous parks
@@ -173,17 +168,14 @@ struct CollOutcome {
 /// thread-backed ranks and the async bridge's OS workers.
 class Group {
  public:
-  Group(int size, CollEngine engine, int arity)
+  Group(int size, int arity)
       : size_(size),
-        engine_(engine),
         arity_(std::max(arity, kMinCollArity)),
         mailboxes_(static_cast<std::size_t>(size)) {
     build_topology();
   }
 
   int size() const { return size_; }
-  CollEngine engine() const { return engine_; }
-  int arity() const { return arity_; }
 
   // ---- point to point ----
 
@@ -245,17 +237,12 @@ class Group {
       carry.contrib.colors[in.split_color] = in.split_size;
     }
 
-    int slot_idx = rank / leaf_block_;
-    int member = rank % leaf_block_;
+    int slot_idx = rank / arity_;
+    int member = rank % arity_;
     std::shared_ptr<const CollOutcome> outcome;
     // Slots this rank completed on the way up; their members stay parked
     // until we publish the outcome back down.
     std::vector<int> completed;
-    // The flat engine keeps the original wakeup discipline — broadcast
-    // notify_all herds that every waiter re-checks — so the ablation
-    // measures what targeted wakeups actually buy. The tree engine tags
-    // every wait with a key only the matching state change notifies.
-    const bool targeted = engine_ == CollEngine::kTree;
 
     for (;;) {
       Slot& slot = slots_[static_cast<std::size_t>(slot_idx)];
@@ -265,8 +252,8 @@ class Group {
         lock.lock();
       }
       // Wait out the previous round's readers before reusing the slot.
-      wait_timed(slot, lock, targeted ? kDrainKey : exec::WaitSet::kAnyKey,
-                 stats, [&] { return slot.readers_pending == 0; });
+      wait_timed(slot, lock, kDrainKey, stats,
+                 [&] { return slot.readers_pending == 0; });
       if (slot.arrived == 0) {
         slot.contribs.assign(static_cast<std::size_t>(slot.expected),
                              Contribution{});
@@ -279,18 +266,10 @@ class Group {
         // tagged with the generation we joined, so publishes for other
         // rounds or the drain protocol never wake us.
         const long generation = slot.generation;
-        wait_timed(slot, lock,
-                   targeted ? generation_key(generation)
-                            : exec::WaitSet::kAnyKey,
-                   stats, [&] { return slot.generation != generation; });
+        wait_timed(slot, lock, generation_key(generation), stats,
+                   [&] { return slot.generation != generation; });
         outcome = slot.outcome;
-        if (--slot.readers_pending == 0) {
-          if (targeted) {
-            slot.cv.notify_key(kDrainKey);
-          } else {
-            slot.cv.notify_all();
-          }
-        }
+        if (--slot.readers_pending == 0) slot.cv.notify_key(kDrainKey);
         break;
       }
       // Last arrival: fold this slot in canonical member order, then
@@ -377,11 +356,10 @@ class Group {
   }
 
   void build_topology() {
-    leaf_block_ = engine_ == CollEngine::kFlat ? size_ : arity_;
-    // Level sizes: ceil(P / block) leaf slots over consecutive rank
+    // Level sizes: ceil(P / arity) leaf slots over consecutive rank
     // blocks, then arity-wide levels until a single root remains.
     std::vector<int> levels;
-    int n = (size_ + leaf_block_ - 1) / leaf_block_;
+    int n = (size_ + arity_ - 1) / arity_;
     levels.push_back(n);
     while (n > 1) {
       n = (n + arity_ - 1) / arity_;
@@ -397,9 +375,8 @@ class Group {
     for (std::size_t l = 0; l < levels.size(); ++l) {
       for (int i = 0; i < levels[l]; ++i) {
         Slot& slot = slots_[static_cast<std::size_t>(offset[l] + i)];
-        slot.expected =
-            l == 0 ? std::min(leaf_block_, size_ - i * leaf_block_)
-                   : std::min(arity_, levels[l - 1] - i * arity_);
+        const int members = l == 0 ? size_ : levels[l - 1];
+        slot.expected = std::min(arity_, members - i * arity_);
         if (l + 1 < levels.size()) {
           slot.parent = offset[l + 1] + i / arity_;
           slot.index_in_parent = i % arity_;
@@ -421,9 +398,7 @@ class Group {
 
   /// Folds a completed slot's contributions into `carry`. Members are
   /// indexed in rank order, so the fold order is canonical by
-  /// construction; the reduce fold uses the canonical blocked schedule,
-  /// which makes the flat single slot (expected == P) bit-compatible
-  /// with the composed tree folds.
+  /// construction.
   void fold_slot(Slot& slot, const CollInput& in, Carry& carry) {
     auto& contribs = slot.contribs;
     Contribution folded;
@@ -504,7 +479,7 @@ class Group {
       case CollOp::kSplit:
         for (const auto& [color, count] : carry.contrib.colors) {
           outcome->split_groups.emplace(
-              color, std::make_shared<Group>(count, engine_, arity_));
+              color, std::make_shared<Group>(count, arity_));
         }
         break;
       case CollOp::kBarrier:
@@ -538,16 +513,13 @@ class Group {
   }
 
   int size_;
-  CollEngine engine_;
   int arity_;
-  int leaf_block_ = 1;  ///< ranks per leaf slot (P for the flat engine)
   std::vector<Mailbox> mailboxes_;
   std::vector<Slot> slots_;  ///< leaf level first, root slot last
 };
 
-std::shared_ptr<Group> make_group(int size) {
-  return std::make_shared<Group>(size, default_coll_engine(),
-                                 default_coll_arity());
+std::shared_ptr<Group> make_group(int size, int arity) {
+  return std::make_shared<Group>(size, arity);
 }
 
 }  // namespace detail
@@ -577,16 +549,15 @@ obs::Counter& Communicator::collective_bytes(CollBytesOp op) {
 
 /// Execution-side collective accounting (wall-clock, per rank): calls,
 /// seconds parked at the rendezvous, and contended slot-lock
-/// acquisitions. Labeled by op and engine so flat/tree ablations show up
-/// side by side in perf_report's collectives table. Handles are bound
-/// once per op and cached, matching the p2p bytes_sent_ idiom.
+/// acquisitions, labeled by op for perf_report's collectives table.
+/// Handles are bound once per op and cached, matching the p2p
+/// bytes_sent_ idiom.
 void Communicator::record_coll_stats(int op, double wait_seconds,
                                      std::int64_t contended) {
   assert(op >= 0 && op < kNumCollOps);
   CollMetricHandles& h = coll_metrics_[op];
   if (h.calls == nullptr) {
     const obs::Labels labels = {
-        {"engine", to_string(group_->engine())},
         {"op", detail::coll_op_name(static_cast<detail::CollOp>(op))}};
     auto& registry = obs::metrics();
     h.calls = &registry.counter("comm.collective.calls", labels);
@@ -763,19 +734,7 @@ BlobTablePtr Communicator::coll_exchange(std::span<const std::byte> mine) {
   clock_->observe(outcome->max_entry +
                   machine_->gather_time(size(), mine.size()) +
                   machine_->bcast_time(size(), outcome->total_bytes));
-  if (group_->engine() == CollEngine::kFlat) {
-    // The flat engine keeps the original fan-out cost: every rank
-    // materializes its own copy of all P contributions — O(P^2) bytes
-    // and allocations per allgather across the group. The tree engine
-    // returns an aliased view of the shared table instead, which is the
-    // zero-copy half of the ablation (docs/SCALING.md).
-    auto copy = std::make_shared<BlobTable>();
-    copy->reserve(outcome->table.size());
-    for (const BlobPtr& blob : outcome->table) {
-      copy->push_back(std::make_shared<Blob>(*blob));
-    }
-    return copy;
-  }
+  // Every rank aliases the one shared table (zero-copy fan-out).
   return BlobTablePtr(outcome, &outcome->table);
 }
 

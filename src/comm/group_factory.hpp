@@ -2,7 +2,7 @@
 
 // Internal: factory for the communicator's shared Group state, whose
 // definition is private to communicator.cpp. Used by the Runtime to create
-// the world group.
+// the world group with the run's combining-tree arity.
 
 #include <memory>
 
@@ -10,6 +10,6 @@ namespace insitu::comm::detail {
 
 class Group;
 
-std::shared_ptr<Group> make_group(int size);
+std::shared_ptr<Group> make_group(int size, int arity);
 
 }  // namespace insitu::comm::detail

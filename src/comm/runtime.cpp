@@ -68,7 +68,7 @@ RunReport Runtime::run(int nranks,
   const pal::BufferPoolStats pool_start = run_pool.stats();
   kernels::StatsSink run_kernels;
 
-  std::shared_ptr<detail::Group> world = detail::make_group(nranks);
+  std::shared_ptr<detail::Group> world = detail::make_group(nranks, options.coll_arity);
   std::mutex failure_mutex;
 
   // Per-rank observability state, harvested after join. Each rank thread

@@ -13,6 +13,12 @@
 // multiplexed onto a small worker pool, which is what makes 10K+
 // executed ranks practical on one machine. Both backends produce
 // bit-identical results (bench/ablation_sched gates this).
+//
+// Collectives run over a hierarchical combining tree (communicator.cpp,
+// docs/SCALING.md): ranks rendezvous in leaf blocks of `coll_arity`
+// consecutive ranks and only the last arrival of each block ascends. The
+// arity also fixes the canonical blocked combine schedule, so it changes
+// floating-point reduction bits but never virtual times.
 
 #include <cstddef>
 #include <functional>
@@ -32,6 +38,11 @@ class TelemetryHub;
 }
 
 namespace insitu::comm {
+
+/// Fan-in per combining-tree level (leaf block width and interior slot
+/// width). Arities below kMinCollArity are clamped to it.
+inline constexpr int kDefaultCollArity = 64;
+inline constexpr int kMinCollArity = 2;
 
 /// Statistics reported by each rank at the end of a run.
 struct RankStats {
@@ -83,16 +94,18 @@ class Runtime {
       /// bit-identity with the hub on and off).
       obs::live::TelemetryHub* telemetry = nullptr;
     } observe;
-    /// Scheduler backend and its tuning knobs. The backend default is the
-    /// process default (INSITU_SCHED, or whatever the CLI layer set via
-    /// set_default_sched_backend) at the moment Options is constructed.
+    /// Scheduler backend and its tuning knobs.
     struct Sched {
-      SchedBackend backend = default_sched_backend();
+      SchedBackend backend = SchedBackend::kThreads;
       /// mn only: carrier workers; <= 0 means one per hardware thread.
       int workers = 0;
       /// mn only: per-fiber stack bytes; 0 means the 256 KiB default.
       std::size_t stack_bytes = 0;
     } sched;
+    /// Combining-tree arity of the world group and every group split
+    /// from it. Small arities build multi-level trees at small rank
+    /// counts, which is what tests and bench/ablation_collectives use.
+    int coll_arity = kDefaultCollArity;
     /// Multi-tenant attribution (src/service). All fields optional; none
     /// of them changes what the job computes — virtual times stay
     /// bit-identical with or without a tenant attached.

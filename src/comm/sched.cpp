@@ -1,31 +1,6 @@
 #include "comm/sched.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-
 namespace insitu::comm {
-
-namespace {
-
-std::optional<SchedBackend> g_override;
-std::once_flag g_env_once;
-SchedBackend g_env_backend = SchedBackend::kThreads;
-
-void read_env_default() {
-  const char* env = std::getenv("INSITU_SCHED");
-  if (env == nullptr || env[0] == '\0') return;
-  if (auto parsed = parse_sched_backend(env)) {
-    g_env_backend = *parsed;
-  } else {
-    std::fprintf(stderr,
-                 "warning: INSITU_SCHED=%s is not a scheduler backend "
-                 "(expected threads|mn); using threads\n",
-                 env);
-  }
-}
-
-}  // namespace
 
 const char* to_string(SchedBackend backend) {
   switch (backend) {
@@ -40,13 +15,5 @@ std::optional<SchedBackend> parse_sched_backend(std::string_view name) {
   if (name == "mn") return SchedBackend::kMn;
   return std::nullopt;
 }
-
-SchedBackend default_sched_backend() {
-  if (g_override.has_value()) return *g_override;
-  std::call_once(g_env_once, read_env_default);
-  return g_env_backend;
-}
-
-void set_default_sched_backend(SchedBackend backend) { g_override = backend; }
 
 }  // namespace insitu::comm

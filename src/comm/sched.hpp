@@ -12,13 +12,11 @@
 //     at 10K+ ranks on one machine.
 //
 // Both produce bit-identical virtual times, histograms, and image
-// hashes (gated by bench/ablation_sched). Selection follows the same
-// convention as the kernel dispatch (`--kernels`/`INSITU_KERNELS`):
-// benches accept `sched=`/`--sched`, and the INSITU_SCHED environment
-// variable sets the process default.
+// hashes (gated by bench/ablation_sched). The backend is a per-run
+// field, Runtime::Options::sched.backend; benches fill it from their
+// `sched=`/`--sched` flag.
 
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace insitu::comm {
@@ -32,13 +30,5 @@ const char* to_string(SchedBackend backend);
 
 /// Parse "threads" or "mn"; nullopt for anything else.
 std::optional<SchedBackend> parse_sched_backend(std::string_view name);
-
-/// Process default: INSITU_SCHED if set and valid (invalid values warn
-/// once to stderr and are ignored), else kThreads, unless overridden by
-/// set_default_sched_backend.
-SchedBackend default_sched_backend();
-
-/// Override the process default (how `sched=`/`--sched` is wired).
-void set_default_sched_backend(SchedBackend backend);
 
 }  // namespace insitu::comm

@@ -7,8 +7,9 @@
 // atomics, so sampling never blocks a rank's hot path; registry map
 // mutexes are only contended on first-use series creation), stamps each
 // source's tenant label, merges everything into one MetricsSnapshot,
-// folds latency histograms through live::HdrHistogram for mergeable
-// p50/p99/max, evaluates the configured health rules, and appends one
+// estimates latency p50/p99 with obs::histogram_quantile (the estimator
+// the health rules evaluate, so a frame's p99 and an alert's observed
+// p99 agree), evaluates the configured health rules, and appends one
 // JSONL frame (`insitu-live/1`) to the stream file that
 // `tools/perf_report --follow` tails.
 //

@@ -1,5 +1,7 @@
 #include "render/png.hpp"
 
+#include "obs/trace.hpp"
+
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -717,14 +719,21 @@ StatusOr<Image> decode(std::span<const std::byte> data) {
 
 Status write_file(const std::string& path, const Image& img,
                   const PngOptions& options) {
-  const std::vector<std::byte> data = encode(img, options);
+  std::vector<std::byte> data;
+  {
+    obs::TraceScope span(obs::Category::kBackend, "png.encode");
+    data = encode(img, options);
+  }
+  obs::TraceScope span(obs::Category::kIo, "png.write");
+  span.arg("bytes", static_cast<double>(data.size()));
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::Internal("cannot open '" + path + "' for writing");
   }
   const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (written != data.size()) {
+  // A write error can surface only when fclose flushes the stdio buffer.
+  const bool closed = std::fclose(f) == 0;
+  if (written != data.size() || !closed) {
     return Status::Internal("short write to '" + path + "'");
   }
   return Status::Ok();

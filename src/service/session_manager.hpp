@@ -87,7 +87,7 @@ struct ServiceOptions {
   int tenant_queue_capacity = 8;
   AdmissionPolicy policy = AdmissionPolicy::kQueue;
   /// Scheduler backend for each session's virtual ranks.
-  comm::SchedBackend sched = comm::default_sched_backend();
+  comm::SchedBackend sched = comm::SchedBackend::kThreads;
   /// mn only: carrier workers per session. Deliberately small — the
   /// service multiplies it by concurrent sessions.
   int sched_workers = 2;

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
-#include "comm/coll.hpp"
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
 #include "pal/memory_tracker.hpp"
@@ -238,19 +238,8 @@ TEST(CollectivesStress, SixtyFourRanksMixedTraffic) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-/// Restores the process-default collective engine/arity on scope exit so
-/// engine-matrix tests cannot leak their overrides into later tests.
-struct CollEngineGuard {
-  CollEngine engine = default_coll_engine();
-  int arity = default_coll_arity();
-  ~CollEngineGuard() {
-    set_default_coll_engine(engine);
-    set_default_coll_arity(arity);
-  }
-};
-
 /// Everything a rank observes from a mixed collective workload, bit-for
-/// bit: the defaulted operator== makes "engines are interchangeable" a
+/// bit: the defaulted operator== makes "runs are interchangeable" a
 /// one-line assertion. The float fields go through memcpy'd bit patterns
 /// so -ffast-math-style tolerance can never creep in.
 struct RankDigest {
@@ -265,13 +254,12 @@ struct RankDigest {
 /// a ragged gatherv hashed at the root, a split + subgroup reduction, and
 /// enough compute skew that rendezvous order would differ if the engine
 /// let it matter.
-std::vector<RankDigest> run_digest_matrix(CollEngine engine, int arity,
-                                          int ranks, SchedBackend backend) {
-  set_default_coll_engine(engine);
-  set_default_coll_arity(arity);
+std::vector<RankDigest> run_digest_matrix(int arity, int ranks,
+                                          SchedBackend backend) {
   std::vector<RankDigest> out(static_cast<std::size_t>(ranks));
   Runtime::Options options;
   options.sched.backend = backend;
+  options.coll_arity = arity;
   Runtime::run(ranks, options, [&](Communicator& comm) {
     const int rank = comm.rank();
     comm.advance_compute(0.0001 * (rank % 5));
@@ -308,54 +296,108 @@ std::vector<RankDigest> run_digest_matrix(CollEngine engine, int arity,
   return out;
 }
 
-TEST(CollectiveEngines, TreeMatchesFlatAcrossAritiesAndSizes) {
-  CollEngineGuard guard;
-  // The canonical combine schedule is fixed by (P, arity) for BOTH
-  // engines, so flat and tree must agree bit-for-bit at every arity —
-  // including sizes that leave ragged last blocks at every tree level.
+/// Serial reference for the canonical combine schedule: consecutive
+/// blocks of `arity` contributions fold left to right, then the block
+/// partials fold under the same rule until one value remains.
+double blocked_fold(std::vector<double> items, int arity) {
+  const std::size_t width = static_cast<std::size_t>(arity);
+  while (items.size() > 1) {
+    std::vector<double> partials;
+    for (std::size_t lo = 0; lo < items.size(); lo += width) {
+      double acc = items[lo];
+      const std::size_t hi = std::min(items.size(), lo + width);
+      for (std::size_t i = lo + 1; i < hi; ++i) acc += items[i];
+      partials.push_back(acc);
+    }
+    items = std::move(partials);
+  }
+  return items[0];
+}
+
+/// run_digest_matrix's float fields replayed serially through
+/// blocked_fold over contributions in rank order.
+std::vector<RankDigest> reference_float_digests(int arity, int ranks) {
+  const auto n = static_cast<std::size_t>(ranks);
+  std::vector<double> value(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    value[r] = static_cast<double>(r + 1) * 1e-7 +
+               static_cast<double>(r % 3) / 3.0;
+  }
+  for (int i = 0; i < 4; ++i) {
+    const double sum = blocked_fold(value, arity);
+    for (std::size_t r = 0; r < n; ++r) {
+      value[r] = sum / ranks + static_cast<double>(r) * 1e-9;
+    }
+  }
+  std::vector<RankDigest> out(n);
+  for (std::size_t color = 0; color < 2; ++color) {
+    // split(rank % 2, rank): subgroup ranks follow world rank order.
+    std::vector<double> members;
+    for (std::size_t r = color; r < n; r += 2) {
+      members.push_back(value[r] + static_cast<double>(members.size()));
+    }
+    const double sub = blocked_fold(members, arity);
+    for (std::size_t r = color; r < n; r += 2) {
+      std::memcpy(&out[r].sub_bits, &sub, sizeof sub);
+    }
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    std::memcpy(&out[r].sum_bits, &value[r], sizeof value[r]);
+  }
+  return out;
+}
+
+TEST(CollectiveEngines, TreeMatchesSerialReferenceAcrossAritiesAndSizes) {
+  // The tree folds every reduction in the canonical order fixed by
+  // (P, arity) — including sizes that leave ragged last blocks at every
+  // level — so its float results equal the serial replay bit for bit on
+  // both backends. Virtual time and gathered data never depend on the
+  // arity or the backend.
   for (const int ranks : {5, 16, 33, 64, 129}) {
+    std::vector<RankDigest> first;
     for (const int arity : {2, 4, 8}) {
-      const auto flat = run_digest_matrix(CollEngine::kFlat, arity, ranks,
-                                          SchedBackend::kThreads);
-      const auto tree = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                          SchedBackend::kThreads);
-      EXPECT_EQ(flat, tree) << ranks << " ranks, arity " << arity;
+      std::vector<RankDigest> expected = reference_float_digests(arity, ranks);
+      for (const SchedBackend backend :
+           {SchedBackend::kThreads, SchedBackend::kMn}) {
+        const auto got = run_digest_matrix(arity, ranks, backend);
+        if (first.empty()) first = got;
+        for (std::size_t r = 0; r < expected.size(); ++r) {
+          expected[r].vtime = first[r].vtime;
+          expected[r].gather_hash = first[r].gather_hash;
+        }
+        EXPECT_EQ(got, expected) << ranks << " ranks, arity " << arity
+                                 << ", sched=" << to_string(backend);
+      }
     }
   }
 }
 
 TEST(CollectiveEngines, BackendsAgreeOnTreeResults) {
-  CollEngineGuard guard;
   for (const int ranks : {16, 129}) {
     for (const int arity : {2, 8}) {
-      const auto threads = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                             SchedBackend::kThreads);
-      const auto mn = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                        SchedBackend::kMn);
+      const auto threads =
+          run_digest_matrix(arity, ranks, SchedBackend::kThreads);
+      const auto mn = run_digest_matrix(arity, ranks, SchedBackend::kMn);
       EXPECT_EQ(threads, mn) << ranks << " ranks, arity " << arity;
     }
   }
 }
 
 TEST(CollectiveEngines, FloatAllreduceIsRunToRunDeterministic) {
-  CollEngineGuard guard;
   // Regression for the latent arrival-order combine: under mn the
   // rendezvous order varies run to run, so only a canonical schedule
   // keeps non-associative float sums bit-identical across repeats.
-  const auto first =
-      run_digest_matrix(CollEngine::kTree, 4, 64, SchedBackend::kMn);
-  const auto second =
-      run_digest_matrix(CollEngine::kTree, 4, 64, SchedBackend::kMn);
+  const auto first = run_digest_matrix(4, 64, SchedBackend::kMn);
+  const auto second = run_digest_matrix(4, 64, SchedBackend::kMn);
   EXPECT_EQ(first, second);
 }
 
 TEST(CollectiveEngines, SubgroupCollectivesInterleaveWithParent) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
-  set_default_coll_arity(4);
+  Runtime::Options options;
+  options.coll_arity = 4;
   const int p = 48;
   std::atomic<int> failures{0};
-  Runtime::run(p, [&](Communicator& comm) {
+  Runtime::run(p, options, [&](Communicator& comm) {
     const int color = comm.rank() % 3;
     Communicator sub = comm.split(color, comm.rank());
     for (int iter = 0; iter < 8; ++iter) {
@@ -373,14 +415,13 @@ TEST(CollectiveEngines, SubgroupCollectivesInterleaveWithParent) {
 }
 
 TEST(CollectiveEngines, TreeAllgatherBlobsAliasOneTable) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
-  set_default_coll_arity(4);
+  Runtime::Options options;
+  options.coll_arity = 4;
   const int p = 24;
   std::vector<const void*> first_blob(static_cast<std::size_t>(p), nullptr);
   std::vector<BlobTablePtr> tables(static_cast<std::size_t>(p));
   std::atomic<int> failures{0};
-  Runtime::run(p, [&](Communicator& comm) {
+  Runtime::run(p, options, [&](Communicator& comm) {
     const int rank = comm.rank();
     const double mine = rank * 1.5;
     BlobTablePtr table =
@@ -409,46 +450,12 @@ TEST(CollectiveEngines, TreeAllgatherBlobsAliasOneTable) {
   EXPECT_EQ(v, 7.5);
 }
 
-TEST(CollectiveEngines, FlatAllgatherBlobsCopyPerRank) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kFlat);
-  const int p = 8;
-  std::vector<const void*> first_blob(static_cast<std::size_t>(p), nullptr);
-  // Tables stay alive together; otherwise the allocator could hand a
-  // freed blob's address to another rank's copy and fake an alias.
-  std::vector<BlobTablePtr> tables(static_cast<std::size_t>(p));
-  std::atomic<int> failures{0};
-  Runtime::run(p, [&](Communicator& comm) {
-    const double mine = comm.rank() * 2.0;
-    BlobTablePtr table =
-        comm.allgather_blobs(std::as_bytes(std::span<const double>(&mine, 1)));
-    for (int r = 0; r < p; ++r) {
-      double v = 0.0;
-      std::memcpy(&v, (*table)[static_cast<std::size_t>(r)]->data(), sizeof v);
-      if (v != r * 2.0) ++failures;
-    }
-    first_blob[static_cast<std::size_t>(comm.rank())] = (*table)[0]->data();
-    tables[static_cast<std::size_t>(comm.rank())] = std::move(table);
-  });
-  EXPECT_EQ(failures.load(), 0);
-  // The flat engine reproduces the original per-reader deep copy (the
-  // ablation baseline), so no two ranks share blob storage.
-  for (int a = 0; a < p; ++a) {
-    for (int b = a + 1; b < p; ++b) {
-      EXPECT_NE(first_blob[static_cast<std::size_t>(a)],
-                first_blob[static_cast<std::size_t>(b)])
-          << a << " vs " << b;
-    }
-  }
-}
-
 TEST(CollectiveEngines, BackToBackRoundsReuseSlots) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
-  set_default_coll_arity(2);  // 33 ranks -> a 6-level tree
+  Runtime::Options options;
+  options.coll_arity = 2;  // 33 ranks -> a 6-level tree
   const int p = 33;
   std::atomic<int> failures{0};
-  Runtime::run(p, [&](Communicator& comm) {
+  Runtime::run(p, options, [&](Communicator& comm) {
     for (int iter = 0; iter < 60; ++iter) {
       if (comm.allreduce_value(1, ReduceOp::kSum) != p) ++failures;
       int v = iter;
@@ -471,12 +478,10 @@ TEST(CollectiveEngines, BackToBackRoundsReuseSlots) {
 // The TSan job's collective-engine stressor: a thousand fibers on few
 // carriers force heavy park/wake traffic through every tree level.
 TEST(CollectiveEngines, TsanStressThousandFiberCollectives) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
-  set_default_coll_arity(8);
   const int ranks = 1024;
   std::atomic<int> failures{0};
   Runtime::Options options;
+  options.coll_arity = 8;
   options.sched.backend = SchedBackend::kMn;
   options.sched.workers = 4;
   const RunReport report =
@@ -500,15 +505,9 @@ TEST(CollectiveEngines, TsanStressThousandFiberCollectives) {
 }
 
 TEST(CollectiveEngines, KnobsRoundTrip) {
-  EXPECT_EQ(parse_coll_engine("flat"), CollEngine::kFlat);
-  EXPECT_EQ(parse_coll_engine("tree"), CollEngine::kTree);
-  EXPECT_FALSE(parse_coll_engine("").has_value());
-  EXPECT_FALSE(parse_coll_engine("ring").has_value());
-  EXPECT_STREQ(to_string(CollEngine::kFlat), "flat");
-  EXPECT_STREQ(to_string(CollEngine::kTree), "tree");
-  CollEngineGuard guard;
-  set_default_coll_arity(1);  // below kMinCollArity: clamped, not honored
-  EXPECT_EQ(default_coll_arity(), kMinCollArity);
+  // Options::coll_arity below kMinCollArity is clamped, not honored.
+  EXPECT_EQ(run_digest_matrix(1, 33, SchedBackend::kThreads),
+            run_digest_matrix(kMinCollArity, 33, SchedBackend::kThreads));
 }
 
 TEST(RunReport, AggregatesStats) {

@@ -373,5 +373,43 @@ TEST(BaselineCheck, FromAnalysisMatchesStepBreakdown) {
   EXPECT_DOUBLE_EQ(run.end_to_end_s, 0.75);
 }
 
+// Dumps written while the flat engine still existed label every
+// comm.collective.* series engine=tree; the collectives table keys rows
+// on (run, op) and must render those dumps exactly like label-free ones.
+TEST(CollectivesTable, EngineLabelDoesNotChangeRows) {
+  const std::string labeled =
+      "# insitu-metrics/1 tool=ablation_collectives threads=1 seed=7\n"
+      "run,metric,kind,value,count,sum,mean,min,max,p50,p90,p99\n"
+      "p4,\"comm.bytes_sent{op=allreduce}\",counter,512,,,,,,,,\n"
+      "p4,\"comm.bytes_sent{op=gather}\",counter,96,,,,,,,,\n"
+      "p4,\"comm.collective.calls{engine=tree,op=barrier}\",counter,40,"
+      ",,,,,,,\n"
+      "p4,\"comm.collective.calls{engine=tree,op=reduce}\",counter,80,"
+      ",,,,,,,\n"
+      "p4,\"comm.collective.wait.seconds{engine=tree,op=reduce}\","
+      "histogram,,12,0.003,0.00025,1e-05,0.001,0.0002,0.0008,0.001\n"
+      "p4,\"comm.collective.contended{engine=tree,op=reduce}\",counter,7,"
+      ",,,,,,,\n"
+      "p16,\"comm.collective.calls{engine=tree,op=gather}\",counter,16,"
+      ",,,,,,,\n";
+  std::string unlabeled = labeled;
+  for (std::size_t at = unlabeled.find("engine=tree,");
+       at != std::string::npos; at = unlabeled.find("engine=tree,", at)) {
+    unlabeled.erase(at, std::string("engine=tree,").size());
+  }
+  const StatusOr<MetricsTable> old_dump = import_metrics(labeled);
+  const StatusOr<MetricsTable> new_dump = import_metrics(unlabeled);
+  ASSERT_TRUE(old_dump.ok()) << old_dump.status().to_string();
+  ASSERT_TRUE(new_dump.ok()) << new_dump.status().to_string();
+  const std::string table = render_collectives_table(*new_dump);
+  EXPECT_EQ(render_collectives_table(*old_dump), table);
+  // One row per (run, op), with the reduce row's wait and byte columns
+  // joined in.
+  EXPECT_NE(table.find("p4"), std::string::npos);
+  EXPECT_NE(table.find("barrier"), std::string::npos);
+  EXPECT_NE(table.find("gather"), std::string::npos);
+  EXPECT_EQ(table.find("engine"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace insitu::obs::analyze

@@ -1,8 +1,7 @@
-// Tests for src/obs/live: HDR histograms, the per-rank flight recorder,
-// the declarative health-rule engine, and the TelemetryHub itself. The
-// Concurrency tests double as the TSan workload for the hub's
-// snapshot-vs-update paths (CI runs this binary under
-// -fsanitize=thread).
+// Tests for src/obs/live: the per-rank flight recorder, the declarative
+// health-rule engine, and the TelemetryHub itself. The Concurrency tests
+// double as the TSan workload for the hub's snapshot-vs-update paths
+// (CI runs this binary under -fsanitize=thread).
 
 #include "obs/live/telemetry_hub.hpp"
 
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "obs/live/flight_recorder.hpp"
-#include "obs/live/hdr_histogram.hpp"
 #include "obs/live/health.hpp"
 #include "obs/metrics.hpp"
 #include "pal/config.hpp"
@@ -34,71 +32,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-// ---------------------------------------------------------------- HDR --
-
-TEST(HdrHistogram, QuantilesBracketRecordedValues) {
-  HdrHistogram h;
-  for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i) * 1e-3);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.sum(), 5.050, 1e-9);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-3);
-  EXPECT_DOUBLE_EQ(h.max(), 0.1);
-  // Log-linear buckets: coarse, but p50/p99 must land near the true
-  // order statistics and stay monotone.
-  EXPECT_NEAR(h.p50(), 0.050, 0.015);
-  EXPECT_NEAR(h.p99(), 0.099, 0.02);
-  EXPECT_LE(h.p50(), h.p99());
-  EXPECT_LE(h.p99(), h.max());
-}
-
-TEST(HdrHistogram, EmptyIsAllZero) {
-  HdrHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
-}
-
-TEST(HdrHistogram, MergeMatchesSingleHistogram) {
-  HdrHistogram a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = 1e-4 * (i + 1);
-    a.record(v);
-    all.record(v);
-  }
-  for (int i = 0; i < 50; ++i) {
-    const double v = 1e-2 * (i + 1);
-    b.record(v);
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  EXPECT_DOUBLE_EQ(a.p50(), all.p50());
-  EXPECT_DOUBLE_EQ(a.p99(), all.p99());
-}
-
-TEST(HdrHistogram, FromSamplePreservesCountSumMinMax) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("bridge.execute.seconds");
-  h.record(0.002);
-  h.record(0.004);
-  h.record(0.128);
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const HdrHistogram hdr = HdrHistogram::from_sample(snap[0]);
-  EXPECT_EQ(hdr.count(), 3u);
-  EXPECT_DOUBLE_EQ(hdr.sum(), snap[0].sum);
-  EXPECT_DOUBLE_EQ(hdr.min(), snap[0].min);
-  EXPECT_DOUBLE_EQ(hdr.max(), snap[0].max);
-  // Quantiles stay inside the true range even through the coarse
-  // pow-2 -> HDR crediting.
-  EXPECT_GE(hdr.p50(), hdr.min());
-  EXPECT_LE(hdr.p99(), hdr.max());
 }
 
 // ----------------------------------------------------- FlightRecorder --
@@ -358,6 +291,60 @@ TEST(TelemetryHub, AlertsAreEdgeTriggeredAndRearm) {
     }
   }
   EXPECT_TRUE(saw_alert_metric);
+}
+
+/// The number text after `"field":` at or after `from` in a JSONL frame.
+std::string frame_number(const std::string& line, std::size_t from,
+                         const std::string& field) {
+  const std::string tag = "\"" + field + "\":";
+  const std::size_t at = line.find(tag, from);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + tag.size();
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
+TEST(TelemetryHub, FrameP99EqualsAlertObservedP99) {
+  const std::string stream = temp_path("hub_p99.jsonl");
+  std::remove(stream.c_str());
+  TelemetryOptions options = manual_options();
+  options.stream_path = stream;
+  HealthRule rule;
+  ASSERT_TRUE(parse_health_rule("slow", "step.seconds p99 > 0.001", rule)
+                  .ok());
+  options.rules = {rule};
+  TelemetryHub hub(options);
+  std::vector<HealthAlert> seen;
+  hub.set_alert_sink([&seen](const HealthAlert& alert) {
+    seen.push_back(alert);
+  });
+  ASSERT_TRUE(hub.start().ok());
+  MetricsRegistry reg;
+  Histogram& steps = reg.histogram("step.seconds");
+  // p99 lands inside a bucket, away from the [min, max] clamp, where
+  // estimators that interpolate differently disagree.
+  for (int i = 0; i < 199; ++i) steps.record(0.1);
+  steps.record(0.2);
+  hub.register_source(0, "", &reg);
+  hub.tick_now();  // fires
+  hub.stop();
+
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].stat, "p99");
+  for (const MetricSample& sample : hub.aggregate()) {
+    if (sample.key == "step.seconds") {
+      EXPECT_EQ(seen[0].observed, histogram_quantile(sample, 0.99));
+    }
+  }
+  std::ifstream in(stream);
+  std::string frame;
+  ASSERT_TRUE(std::getline(in, frame));
+  const std::size_t series = frame.find("{\"key\":\"step.seconds\"");
+  const std::size_t alert = frame.find("{\"rule\":\"slow\"");
+  ASSERT_NE(series, std::string::npos);
+  ASSERT_NE(alert, std::string::npos);
+  const std::string p99 = frame_number(frame, series, "p99");
+  EXPECT_FALSE(p99.empty());
+  EXPECT_EQ(p99, frame_number(frame, alert, "observed"));
 }
 
 TEST(TelemetryHub, DumpFlightIncludesRetiredRings) {

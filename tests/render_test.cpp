@@ -430,6 +430,17 @@ TEST(Png, CompressedSmallerThanStoredForFlatImage) {
   EXPECT_LT(compressed.size(), stored.size() / 4);
 }
 
+TEST(Png, WriteFileReportsErrorSurfacingAtClose) {
+  // /dev/full accepts the buffered fwrite; the ENOSPC only appears when
+  // fclose flushes, which must not be reported as success.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  Image img(1, 1);
+  img.clear(Rgba{1, 2, 3, 255});
+  EXPECT_FALSE(png::write_file("/dev/full", img).ok());
+}
+
 TEST(Png, IdatPayloadRoundTripsToRawScanlines) {
   Image img(3, 2);
   img.pixel(0, 0) = {1, 2, 3, 4};

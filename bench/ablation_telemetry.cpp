@@ -162,6 +162,7 @@ int run_breach_arm(const Backend& backend, const std::string& file_prefix) {
     options.runners = 1;
     options.sched = backend.backend;
     options.sched_workers = 2;
+    options.kernels = bench::session_options().kernels;
     service::SessionManager manager(options);
     manager.attach_telemetry(&hub);
 

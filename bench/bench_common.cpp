@@ -43,27 +43,25 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
   }
   threads_ = threads < 1 ? 1 : threads;
   exec::set_global_threads(threads_);
-  // Kernel-dispatch variant: `kernels=NAME` or `--kernels NAME`
-  // overrides the INSITU_KERNELS default for the whole process.
+  // Kernel-dispatch variant and scheduler backend: `kernels=NAME` /
+  // `--kernels NAME` and `sched=NAME` / `--sched NAME`. Running another
+  // variant or scheduler than the one asked for measures the wrong arm,
+  // so a bad value is a hard error.
   std::string kernels = args.get_string_or("kernels", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernels") == 0) kernels = argv[i + 1];
-  }
-  if (!kernels.empty()) {
-    if (kernels::set_variant(kernels)) {
-      kernels_ = std::string(kernels::variant_name(kernels::active_variant()));
-    } else {
-      std::fprintf(stderr, "unknown kernels variant '%s' (ignored)\n",
-                   kernels.c_str());
-    }
-  }
-  // Scheduler backend: `sched=NAME` or `--sched NAME`. Unlike the kernel
-  // variant (where "ignore and run the default" still measures the same
-  // thing), running the wrong scheduler invalidates what the bench
-  // claims to compare, so a bad value is a hard error.
   std::string sched = args.get_string_or("sched", "");
   for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--kernels") == 0) kernels = argv[i + 1];
     if (std::strcmp(argv[i], "--sched") == 0) sched = argv[i + 1];
+  }
+  if (!kernels.empty()) {
+    kernels_ = kernels::parse_variant(kernels);
+    if (!kernels_.has_value()) {
+      std::fprintf(stderr,
+                   "error: kernels=%s is not a kernel variant "
+                   "(expected generic|batched|simd)\n",
+                   kernels.c_str());
+      std::exit(2);
+    }
   }
   if (!sched.empty()) {
     sched_ = comm::parse_sched_backend(sched);
@@ -155,7 +153,7 @@ void ObsSession::record(const std::string& label,
   // distinguishable series.
   std::string full =
       threads_ > 1 ? label + "/t" + std::to_string(threads_) : label;
-  if (!kernels_.empty()) full += "/k" + kernels_;
+  if (kernels_) full += "/k" + std::string(kernels::variant_name(*kernels_));
   if (sched_) full += std::string("/s") + comm::to_string(*sched_);
   if (trace_enabled()) {
     traces_.push_back({full, report.trace});
@@ -316,6 +314,7 @@ comm::Runtime::Options session_options() {
   if (obs == nullptr) return options;
   options.observe.trace = obs->trace_enabled();
   if (obs->sched_backend()) options.sched.backend = *obs->sched_backend();
+  if (obs->kernels_variant()) options.kernels = *obs->kernels_variant();
   options.sched.workers = obs->sched_workers();
   return options;
 }

@@ -69,8 +69,12 @@ class ObsSession {
   /// Kernel threads requested via `threads=N` / `--threads N` (>= 1).
   int threads() const { return threads_; }
   /// Kernel-dispatch variant requested via `kernels=NAME` /
-  /// `--kernels NAME`; empty when running the process default.
-  const std::string& kernels_variant() const { return kernels_; }
+  /// `--kernels NAME`; nullopt when none was given (runs use
+  /// kernels::default_variant()). session_options() carries it into
+  /// every run.
+  std::optional<kernels::Variant> kernels_variant() const {
+    return kernels_;
+  }
   /// Scheduler backend requested via `sched=NAME` / `--sched NAME`;
   /// nullopt when none was given (runs use threads). session_options()
   /// carries it into every run.
@@ -116,7 +120,7 @@ class ObsSession {
   /// block.
   std::vector<kernels::StatsSnapshot> kernels_runs_;
   kernels::StatsSnapshot kernels_last_;
-  std::string kernels_;  ///< requested dispatch variant ("" = default)
+  std::optional<kernels::Variant> kernels_;  ///< requested variant
   std::optional<comm::SchedBackend> sched_;  ///< requested backend
   int sched_workers_ = 0;
   std::vector<int> ranks_;  ///< executed-rank override (empty = default)
@@ -183,10 +187,10 @@ RunResult run_miniapp_config(MiniappConfig config,
                              const MiniappBenchParams& params);
 
 /// Runtime options for one bench run, built from the current ObsSession:
-/// its `sched=` backend and `sched_workers=`, and tracing when
-/// --trace/--baseline was given. Without a session (or a flag) they are
-/// the Options defaults. Every bench starts its runs' options here, so
-/// `sched=` reaches every run.
+/// its `sched=` backend, `sched_workers=` and `kernels=` variant, and
+/// tracing when --trace/--baseline was given. Without a session (or a
+/// flag) they are the Options defaults. Every bench starts its runs'
+/// options here, so `sched=` and `kernels=` reach every run.
 comm::Runtime::Options session_options();
 
 /// Standard ablation-bench Runtime options: session_options() on the

@@ -328,11 +328,19 @@ BENCHMARK(BM_SerializeBlock)->Arg(16)->Arg(32);
 // 2 simd), state.range(1) the element count. Items/sec is elements/sec,
 // so the three variants of one primitive are directly comparable.
 
-void use_variant(benchmark::State& state) {
-  const auto v = static_cast<kernels::Variant>(state.range(0));
-  kernels::set_variant(v);
-  state.SetLabel(std::string(kernels::variant_name(v)));
-}
+/// Dispatches the calling benchmark thread's kernels to state.range(0)'s
+/// variant for the lifetime of the object.
+class UseVariant {
+ public:
+  explicit UseVariant(benchmark::State& state)
+      : sink_(static_cast<kernels::Variant>(state.range(0))), scope_(&sink_) {
+    state.SetLabel(std::string(kernels::variant_name(sink_.variant())));
+  }
+
+ private:
+  kernels::StatsSink sink_;
+  kernels::ScopedStatsSink scope_;
+};
 
 std::vector<double> kernel_input(std::int64_t n) {
   std::vector<double> v(static_cast<std::size_t>(n));
@@ -345,7 +353,7 @@ std::vector<double> kernel_input(std::int64_t n) {
 constexpr std::int64_t kKernelN = 1 << 16;
 
 void BM_KernelReduceMoments(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   for (auto _ : state) {
     kernels::Moments m = kernels::reduce_moments(
@@ -358,7 +366,7 @@ void BM_KernelReduceMoments(benchmark::State& state) {
 BENCHMARK(BM_KernelReduceMoments)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelHistogramBin(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   std::vector<std::int64_t> bins(64, 0);
   for (auto _ : state) {
@@ -371,23 +379,8 @@ void BM_KernelHistogramBin(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelHistogramBin)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
-void BM_KernelLerp(benchmark::State& state) {
-  use_variant(state);
-  const std::vector<double> a = kernel_input(state.range(1));
-  std::vector<double> b(a.rbegin(), a.rend());
-  std::vector<double> dst(a.size());
-  for (auto _ : state) {
-    kernels::lerp(dst.data(), a.data(), b.data(), 0.37,
-                  static_cast<std::int64_t>(a.size()));
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(a.size()));
-}
-BENCHMARK(BM_KernelLerp)->ArgsProduct({{0, 1, 2}, {kKernelN}});
-
 void BM_KernelColormap(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   const std::uint8_t controls[8] = {0, 0, 255, 255, 255, 0, 0, 255};
   std::vector<std::uint8_t> out(4 * x.size());
@@ -402,7 +395,7 @@ void BM_KernelColormap(benchmark::State& state) {
 BENCHMARK(BM_KernelColormap)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelDepthComposite(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const auto n = static_cast<std::size_t>(state.range(1));
   std::vector<std::uint8_t> src_c(4 * n, 0x7F);
   std::vector<float> src_d(n), dst_d0(n);
@@ -422,7 +415,7 @@ void BM_KernelDepthComposite(benchmark::State& state) {
 BENCHMARK(BM_KernelDepthComposite)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelOscillator(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const auto n = static_cast<std::size_t>(state.range(1));
   std::vector<double> dst(n, 0.0);
   for (auto _ : state) {
@@ -444,21 +437,8 @@ BENCHMARK(BM_KernelOscillator)
     ->Threads(4)
     ->UseRealTime();
 
-void BM_KernelVexp(benchmark::State& state) {
-  use_variant(state);
-  const std::vector<double> x = kernel_input(state.range(1));
-  std::vector<double> out(x.size());
-  for (auto _ : state) {
-    kernels::vexp(x.data(), out.data(), static_cast<std::int64_t>(x.size()));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(x.size()));
-}
-BENCHMARK(BM_KernelVexp)->ArgsProduct({{0, 1, 2}, {1 << 14}});
-
 void BM_KernelQuantizeEncode(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   std::vector<std::uint16_t> q(x.size());
   for (auto _ : state) {
@@ -472,7 +452,7 @@ void BM_KernelQuantizeEncode(benchmark::State& state) {
 BENCHMARK(BM_KernelQuantizeEncode)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelQuantizeDecode(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const auto n = static_cast<std::size_t>(state.range(1));
   std::vector<std::uint16_t> q(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -489,7 +469,7 @@ void BM_KernelQuantizeDecode(benchmark::State& state) {
 BENCHMARK(BM_KernelQuantizeDecode)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelDeltaEncode(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   std::vector<double> prev(x.rbegin(), x.rend());
   std::vector<std::uint64_t> w(x.size());
@@ -504,7 +484,7 @@ void BM_KernelDeltaEncode(benchmark::State& state) {
 BENCHMARK(BM_KernelDeltaEncode)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelDeltaDecode(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> prev = kernel_input(state.range(1));
   std::vector<std::uint64_t> w(prev.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -522,7 +502,7 @@ void BM_KernelDeltaDecode(benchmark::State& state) {
 BENCHMARK(BM_KernelDeltaDecode)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelSubsampleGather(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::vector<double> x = kernel_input(state.range(1));
   const std::int64_t tuples = static_cast<std::int64_t>(x.size()) / 3;
   std::vector<double> kept(static_cast<std::size_t>((tuples + 3) / 4) * 3);
@@ -537,7 +517,7 @@ void BM_KernelSubsampleGather(benchmark::State& state) {
 BENCHMARK(BM_KernelSubsampleGather)->ArgsProduct({{0, 1, 2}, {kKernelN}});
 
 void BM_KernelSubsampleExpand(benchmark::State& state) {
-  use_variant(state);
+  const UseVariant variant(state);
   const std::int64_t tuples = state.range(1) / 3;
   const std::vector<double> kept =
       kernel_input(((tuples + 3) / 4) * 3);

@@ -86,6 +86,7 @@ int run(int argc, const char* const* argv) {
   options.policy = *policy;
   options.sched = session_options().sched.backend;
   options.sched_workers = 2;
+  options.kernels = session_options().kernels;
 
   // ---- concurrent phase ----
   std::vector<service::SessionId> ids;
@@ -141,6 +142,7 @@ int run(int argc, const char* const* argv) {
     context.pool = &solo_pool;
     context.sched = options.sched;
     context.sched_workers = options.sched_workers;
+    context.kernels = options.kernels;
     context.trace = obs.trace_enabled() && i < tenants;
     auto solo = service::run_session_pipeline(spec, context);
     if (!solo.ok()) {

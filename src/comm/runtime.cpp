@@ -61,12 +61,13 @@ RunReport Runtime::run(int nranks,
   // thread adopts this run's sink, and under sched=mn the carriers (and,
   // under both backends, TaskPool helpers such as parallel_for chunks)
   // inherit it from the thread that submits them, so concurrent runs
-  // each count only their own dispatches.
+  // each count only their own dispatches. The sink also carries the
+  // run's kernel variant, so concurrent runs may dispatch different ones.
   pal::BufferPool& run_pool = options.tenant.pool != nullptr
                                   ? *options.tenant.pool
                                   : pal::buffer_pool();
   const pal::BufferPoolStats pool_start = run_pool.stats();
-  kernels::StatsSink run_kernels;
+  kernels::StatsSink run_kernels(options.kernels);
 
   std::shared_ptr<detail::Group> world = detail::make_group(nranks, options.coll_arity);
   std::mutex failure_mutex;

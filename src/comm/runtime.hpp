@@ -28,6 +28,7 @@
 #include "comm/communicator.hpp"
 #include "comm/machine_model.hpp"
 #include "comm/sched.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pal/buffer_pool.hpp"
@@ -106,6 +107,11 @@ class Runtime {
     /// from it. Small arities build multi-level trees at small rank
     /// counts, which is what tests and bench/ablation_collectives use.
     int coll_arity = kDefaultCollArity;
+    /// Kernel dispatch variant of every rank thread, fiber carrier and
+    /// TaskPool task of the run (kernels/kernels.hpp). Results and
+    /// virtual times are identical across variants; only host wall
+    /// time and the `variant=` label of the kernels.* series change.
+    kernels::Variant kernels = kernels::default_variant();
     /// Multi-tenant attribution (src/service). All fields optional; none
     /// of them changes what the job computes — virtual times stay
     /// bit-identical with or without a tenant attached.

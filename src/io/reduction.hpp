@@ -46,7 +46,7 @@
 // Determinism: encode is pure arithmetic over the payload (the kernels
 // are bit-identical across dispatch variants; chunk min/max use the
 // exact min/max of kernels::reduce_moments), so streams are byte-
-// identical run-to-run and across INSITU_KERNELS settings.
+// identical run-to-run and across kernel variants (Options::kernels).
 
 #include <map>
 #include <string>

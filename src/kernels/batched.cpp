@@ -9,7 +9,6 @@
 
 #include "kernels/detail.hpp"
 #include "kernels/table.hpp"
-#include "kernels/vmath.hpp"
 
 namespace insitu::kernels::detail {
 
@@ -100,29 +99,9 @@ void b_accumulate_i64(std::int64_t* dst, const std::int64_t* src,
   for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-double b_dot(const double* a, const double* b, std::int64_t n) {
-  double sum[4] = {0.0, 0.0, 0.0, 0.0};
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (int l = 0; l < 4; ++l) sum[l] += a[i + l] * b[i + l];
-  }
-  double total = ((sum[0] + sum[1]) + sum[2]) + sum[3];
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 void b_fma_accumulate(double* dst, const double* a, const double* b,
                       std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
-void b_saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += a * x[i];
-}
-
-void b_lerp(double* dst, const double* a, const double* b, double t,
-            std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = a[i] + (b[i] - a[i]) * t;
 }
 
 void b_colormap_apply(const double* s, std::int64_t n, double lo, double hi,
@@ -255,18 +234,6 @@ void b_oscillator_accumulate(double* dst, std::int64_t n, double ox,
   }
 }
 
-void b_vexp(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = exp_core<ScalarOps>(x[i]);
-}
-
-void b_vsin(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = sin_core<ScalarOps>(x[i]);
-}
-
-void b_vcos(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = cos_core<ScalarOps>(x[i]);
-}
-
 void b_quantize_encode(const double* x, std::int64_t n, double lo,
                        double inv_step, std::uint16_t* out) {
   // Branchless select chain (same shape as b_histogram_bin's index
@@ -336,14 +303,12 @@ void b_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kBatchedTable = {
-    b_reduce_moments, b_histogram_bin, b_accumulate_i64,
-    b_dot,            b_fma_accumulate, b_saxpy,
-    b_lerp,           b_colormap_apply, b_depth_composite,
-    b_raster_span,    b_masked_store_span, b_plane_distance,
-    b_magnitude3,     b_oscillator_accumulate, b_vexp,
-    b_vsin,           b_vcos,           b_quantize_encode,
-    b_quantize_decode, b_delta_encode,  b_delta_decode,
-    b_subsample_gather, b_subsample_expand,
+    b_reduce_moments,    b_histogram_bin,     b_accumulate_i64,
+    b_fma_accumulate,    b_colormap_apply,    b_depth_composite,
+    b_raster_span,       b_masked_store_span, b_plane_distance,
+    b_magnitude3,        b_oscillator_accumulate,
+    b_quantize_encode,   b_quantize_decode,   b_delta_encode,
+    b_delta_decode,      b_subsample_gather,  b_subsample_expand,
 };
 
 }  // namespace insitu::kernels::detail

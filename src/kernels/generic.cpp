@@ -1,14 +1,13 @@
 // The scalar reference variant. Compiled with auto-vectorization
-// disabled (see CMakeLists.txt) so "INSITU_KERNELS=generic" really is
-// the element-at-a-time semantics contract the other variants are
-// golden-tested against.
+// disabled (see CMakeLists.txt) so a run with Options::kernels = kGeneric
+// really is the element-at-a-time semantics contract the other variants
+// are golden-tested against.
 
 #include <cmath>
 #include <limits>
 
 #include "kernels/detail.hpp"
 #include "kernels/table.hpp"
-#include "kernels/vmath.hpp"
 
 namespace insitu::kernels::detail {
 
@@ -44,24 +43,9 @@ void g_accumulate_i64(std::int64_t* dst, const std::int64_t* src,
   for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-double g_dot(const double* a, const double* b, std::int64_t n) {
-  double sum = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 void g_fma_accumulate(double* dst, const double* a, const double* b,
                       std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
-void g_saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += a * x[i];
-}
-
-void g_lerp(double* dst, const double* a, const double* b, double t,
-            std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = a[i] + (b[i] - a[i]) * t;
 }
 
 void g_colormap_apply(const double* s, std::int64_t n, double lo, double hi,
@@ -139,18 +123,6 @@ void g_oscillator_accumulate(double* dst, std::int64_t n, double ox,
   }
 }
 
-void g_vexp(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = exp_core<ScalarOps>(x[i]);
-}
-
-void g_vsin(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = sin_core<ScalarOps>(x[i]);
-}
-
-void g_vcos(const double* x, double* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = cos_core<ScalarOps>(x[i]);
-}
-
 void g_quantize_encode(const double* x, std::int64_t n, double lo,
                        double inv_step, std::uint16_t* out) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -203,14 +175,12 @@ void g_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kGenericTable = {
-    g_reduce_moments, g_histogram_bin, g_accumulate_i64,
-    g_dot,            g_fma_accumulate, g_saxpy,
-    g_lerp,           g_colormap_apply, g_depth_composite,
-    g_raster_span,    g_masked_store_span, g_plane_distance,
-    g_magnitude3,     g_oscillator_accumulate, g_vexp,
-    g_vsin,           g_vcos,           g_quantize_encode,
-    g_quantize_decode, g_delta_encode,  g_delta_decode,
-    g_subsample_gather, g_subsample_expand,
+    g_reduce_moments,    g_histogram_bin,     g_accumulate_i64,
+    g_fma_accumulate,    g_colormap_apply,    g_depth_composite,
+    g_raster_span,       g_masked_store_span, g_plane_distance,
+    g_magnitude3,        g_oscillator_accumulate,
+    g_quantize_encode,   g_quantize_decode,   g_delta_encode,
+    g_delta_decode,      g_subsample_gather,  g_subsample_expand,
 };
 
 }  // namespace insitu::kernels::detail

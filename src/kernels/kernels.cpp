@@ -1,7 +1,6 @@
 #include "kernels/kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -20,15 +19,12 @@ const detail::KernelTable* table_for(Variant v) {
   return &detail::kGenericTable;
 }
 
-/// -1 until the first active_variant() call folds in INSITU_KERNELS.
-std::atomic<int> g_variant{-1};
-
 /// True when the explicit-SIMD TU's code can run on this CPU. The build
 /// may compile simd.cpp for x86-64-v3 (AVX2 + FMA); dispatching there on
 /// an older core would be an illegal instruction, so variant selection
 /// downgrades kSimd to kBatched when the CPU lacks the ISA.
 bool simd_supported() {
-#if defined(INSITU_KERNELS_SIMD_NEEDS_AVX2)
+#if defined(INSITU_SIMD_NEEDS_AVX2)
   static const bool ok =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   return ok;
@@ -41,34 +37,19 @@ Variant clamp_supported(Variant v) {
   return v == Variant::kSimd && !simd_supported() ? Variant::kBatched : v;
 }
 
-bool parse_variant(std::string_view name, Variant* out) {
-  if (name == "generic" || name == "scalar") {
-    *out = Variant::kGeneric;
-    return true;
-  }
-  if (name == "batched") {
-    *out = Variant::kBatched;
-    return true;
-  }
-  if (name == "simd") {
-    *out = Variant::kSimd;
-    return true;
-  }
-  return false;
-}
-
-/// One thread's counters. Single writer: only the thread that leased the
-/// block stores to it, so a bump is a relaxed load plus a relaxed store
-/// (no read-modify-write), and the alignment keeps two threads' blocks
-/// off each other's cache lines. Readers (stats_snapshot, sink flushes)
-/// load relaxed; they are exact once the writer synchronized with them.
+/// One thread's counters, one row per variant. Single writer: only the
+/// thread that leased the block stores to it, so a bump is a relaxed load
+/// plus a relaxed store (no read-modify-write), and the alignment keeps
+/// two threads' blocks off each other's cache lines. Readers
+/// (stats_snapshot, sink flushes) load relaxed; they are exact once the
+/// writer synchronized with them.
 struct alignas(64) StatBlock {
   struct Cell {
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> elements{0};
     std::atomic<std::uint64_t> bytes{0};
   };
-  Cell cells[kNumKernels][kNumVariants];
+  Cell cells[kNumVariants][kNumKernels];
 };
 
 /// Every block ever leased, plus the ones whose thread has exited. Blocks
@@ -88,6 +69,15 @@ Registry& registry() {
   return *r;
 }
 
+/// What a dispatch reads: the table of the thread's variant and the
+/// thread's counter row for it. Null until the thread's first dispatch or
+/// scope; constant-initialized, so reading it is one thread-local access.
+struct Dispatch {
+  const detail::KernelTable* table = nullptr;
+  StatBlock::Cell* row = nullptr;
+};
+
+thread_local Dispatch t_dispatch;
 thread_local StatBlock* t_block = nullptr;
 thread_local ScopedStatsSink* t_scope = nullptr;  // innermost scope
 
@@ -98,6 +88,7 @@ struct BlockLease {
     std::lock_guard<std::mutex> lock(r.mutex);
     r.free.push_back(t_block);
     t_block = nullptr;
+    t_dispatch = Dispatch{};
   }
 };
 
@@ -131,13 +122,24 @@ inline void add_relaxed(std::atomic<std::uint64_t>& counter,
                 std::memory_order_relaxed);
 }
 
-inline void bump(KernelId id, Variant v, std::int64_t elements,
-                 std::int64_t bytes) {
-  StatBlock::Cell& c =
-      own_block().cells[static_cast<int>(id)][static_cast<int>(v)];
+/// Points the calling thread's dispatches at `v`.
+void select(Variant v) {
+  t_dispatch = Dispatch{table_for(v),
+                        own_block().cells[static_cast<int>(v)]};
+}
+
+/// Counts one call on the calling thread and returns the table of its
+/// variant.
+inline const detail::KernelTable& dispatch(KernelId id,
+                                           std::int64_t elements,
+                                           std::int64_t bytes) {
+  if (t_dispatch.table == nullptr) [[unlikely]] select(active_variant());
+  const Dispatch d = t_dispatch;
+  StatBlock::Cell& c = d.row[static_cast<int>(id)];
   add_relaxed(c.calls, 1);
   add_relaxed(c.elements, static_cast<std::uint64_t>(elements));
   add_relaxed(c.bytes, static_cast<std::uint64_t>(bytes));
+  return *d.table;
 }
 
 KernelStats load(const StatBlock::Cell& c) {
@@ -156,7 +158,7 @@ StatsSnapshot read_block(const StatBlock& block) {
   StatsSnapshot out;
   for (int k = 0; k < kNumKernels; ++k) {
     for (int v = 0; v < kNumVariants; ++v) {
-      out.s[k][v] = load(block.cells[k][v]);
+      out.s[k][v] = load(block.cells[v][k]);
     }
   }
   return out;
@@ -164,30 +166,21 @@ StatsSnapshot read_block(const StatBlock& block) {
 
 }  // namespace
 
+Variant default_variant() {
+  return clamp_supported(Variant::kSimd);
+}
+
 Variant active_variant() {
-  int v = g_variant.load(std::memory_order_relaxed);
-  if (v >= 0) return static_cast<Variant>(v);
-  Variant from_env = Variant::kSimd;
-  if (const char* env = std::getenv("INSITU_KERNELS")) {
-    (void)parse_variant(env, &from_env);  // unknown values keep the default
+  const StatsSink* sink = current_stats_sink();
+  return sink != nullptr ? sink->variant() : default_variant();
+}
+
+std::optional<Variant> parse_variant(std::string_view name) {
+  for (const Variant v : {Variant::kGeneric, Variant::kBatched,
+                          Variant::kSimd}) {
+    if (name == variant_name(v)) return v;
   }
-  from_env = clamp_supported(from_env);
-  int expected = -1;
-  g_variant.compare_exchange_strong(expected, static_cast<int>(from_env),
-                                    std::memory_order_relaxed);
-  return static_cast<Variant>(g_variant.load(std::memory_order_relaxed));
-}
-
-void set_variant(Variant v) {
-  g_variant.store(static_cast<int>(clamp_supported(v)),
-                  std::memory_order_relaxed);
-}
-
-bool set_variant(std::string_view name) {
-  Variant v;
-  if (!parse_variant(name, &v)) return false;
-  set_variant(v);
-  return true;
+  return std::nullopt;
 }
 
 std::string_view variant_name(Variant v) {
@@ -204,10 +197,7 @@ const char* kernel_name(KernelId id) {
     case KernelId::kReduceMoments: return "reduce_moments";
     case KernelId::kHistogramBin: return "histogram_bin";
     case KernelId::kAccumulateI64: return "accumulate_i64";
-    case KernelId::kDot: return "dot";
     case KernelId::kFmaAccumulate: return "fma_accumulate";
-    case KernelId::kSaxpy: return "saxpy";
-    case KernelId::kLerp: return "lerp";
     case KernelId::kColormap: return "colormap";
     case KernelId::kDepthComposite: return "depth_composite";
     case KernelId::kRasterSpan: return "raster_span";
@@ -215,9 +205,6 @@ const char* kernel_name(KernelId id) {
     case KernelId::kPlaneDistance: return "plane_distance";
     case KernelId::kMagnitude3: return "magnitude3";
     case KernelId::kOscillator: return "oscillator";
-    case KernelId::kVexp: return "vexp";
-    case KernelId::kVsin: return "vsin";
-    case KernelId::kVcos: return "vcos";
     case KernelId::kQuantizeEncode: return "quantize_encode";
     case KernelId::kQuantizeDecode: return "quantize_decode";
     case KernelId::kDeltaEncode: return "delta_encode";
@@ -236,12 +223,14 @@ StatsSnapshot stats_snapshot() {
   for (const StatBlock* block : r.all) {
     for (int k = 0; k < kNumKernels; ++k) {
       for (int v = 0; v < kNumVariants; ++v) {
-        accumulate(snap.s[k][v], load(block->cells[k][v]));
+        accumulate(snap.s[k][v], load(block->cells[v][k]));
       }
     }
   }
   return snap;
 }
+
+StatsSink::StatsSink(Variant variant) : variant_(clamp_supported(variant)) {}
 
 StatsSnapshot StatsSink::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -252,12 +241,14 @@ ScopedStatsSink::ScopedStatsSink(StatsSink* sink)
     : sink_(sink), outer_(t_scope), mark_(read_block(own_block())) {
   if (outer_ != nullptr) outer_->flush();
   t_scope = this;
+  select(active_variant());
 }
 
 ScopedStatsSink::~ScopedStatsSink() {
   flush();
   t_scope = outer_;
   if (outer_ != nullptr) outer_->mark_ = read_block(own_block());
+  select(active_variant());
 }
 
 /// Adds the thread's counts since mark_ to the sink and moves the mark.
@@ -288,177 +279,117 @@ StatsSink* current_stats_sink() {
 
 Moments reduce_moments(const double* x, std::int64_t n,
                        const std::uint8_t* skip) {
-  const Variant v = active_variant();
-  bump(KernelId::kReduceMoments, v, n, n * (skip != nullptr ? 9 : 8));
-  return table_for(v)->reduce_moments(x, n, skip);
+  return dispatch(KernelId::kReduceMoments, n, n * (skip != nullptr ? 9 : 8))
+      .reduce_moments(x, n, skip);
 }
 
 void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
                    double min_value, double width, int num_bins,
                    std::int64_t* bins) {
-  const Variant v = active_variant();
-  bump(KernelId::kHistogramBin, v, n,
-       n * (skip != nullptr ? 9 : 8) + static_cast<std::int64_t>(num_bins) * 8);
-  table_for(v)->histogram_bin(x, n, skip, min_value, width, num_bins, bins);
+  dispatch(KernelId::kHistogramBin, n,
+           n * (skip != nullptr ? 9 : 8) +
+               static_cast<std::int64_t>(num_bins) * 8)
+      .histogram_bin(x, n, skip, min_value, width, num_bins, bins);
 }
 
 void accumulate_i64(std::int64_t* dst, const std::int64_t* src,
                     std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kAccumulateI64, v, n, n * 24);
-  table_for(v)->accumulate_i64(dst, src, n);
-}
-
-double dot(const double* a, const double* b, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kDot, v, n, n * 16);
-  return table_for(v)->dot(a, b, n);
+  dispatch(KernelId::kAccumulateI64, n, n * 24).accumulate_i64(dst, src, n);
 }
 
 void fma_accumulate(double* dst, const double* a, const double* b,
                     std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kFmaAccumulate, v, n, n * 32);
-  table_for(v)->fma_accumulate(dst, a, b, n);
-}
-
-void saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kSaxpy, v, n, n * 24);
-  table_for(v)->saxpy(dst, a, x, n);
-}
-
-void lerp(double* dst, const double* a, const double* b, double t,
-          std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kLerp, v, n, n * 24);
-  table_for(v)->lerp(dst, a, b, t, n);
+  dispatch(KernelId::kFmaAccumulate, n, n * 32).fma_accumulate(dst, a, b, n);
 }
 
 void colormap_apply(const double* s, std::int64_t n, double lo, double hi,
                     const std::uint8_t* controls, int ncontrols,
                     std::uint8_t* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kColormap, v, n, n * 12);
-  table_for(v)->colormap_apply(s, n, lo, hi, controls, ncontrols, out);
+  dispatch(KernelId::kColormap, n, n * 12)
+      .colormap_apply(s, n, lo, hi, controls, ncontrols, out);
 }
 
 void depth_composite(std::uint8_t* dst_color, float* dst_depth,
                      const std::uint8_t* src_color, const float* src_depth,
                      std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kDepthComposite, v, n, n * 24);
-  table_for(v)->depth_composite(dst_color, dst_depth, src_color, src_depth,
-                                n);
+  dispatch(KernelId::kDepthComposite, n, n * 24)
+      .depth_composite(dst_color, dst_depth, src_color, src_depth, n);
 }
 
 void raster_span(const RasterTri& tri, double py, int x0, std::int64_t n,
                  const float* dst_depth, float* depth, double* scalar,
                  std::uint8_t* inside) {
-  const Variant v = active_variant();
-  bump(KernelId::kRasterSpan, v, n, n * 17);
-  table_for(v)->raster_span(tri, py, x0, n, dst_depth, depth, scalar,
-                            inside);
+  dispatch(KernelId::kRasterSpan, n, n * 17)
+      .raster_span(tri, py, x0, n, dst_depth, depth, scalar, inside);
 }
 
 std::int64_t masked_store_span(std::uint8_t* dst_color, float* dst_depth,
                                const std::uint8_t* colors, const float* depth,
                                const std::uint8_t* inside, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kMaskedStore, v, n, n * 17);
-  return table_for(v)->masked_store_span(dst_color, dst_depth, colors, depth,
-                                         inside, n);
+  return dispatch(KernelId::kMaskedStore, n, n * 17)
+      .masked_store_span(dst_color, dst_depth, colors, depth, inside, n);
 }
 
 void plane_distance(const double* x, const double* y, const double* z,
                     std::int64_t n, double ox, double oy, double oz,
                     double nx, double ny, double nz, double* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kPlaneDistance, v, n, n * 32);
-  table_for(v)->plane_distance(x, y, z, n, ox, oy, oz, nx, ny, nz, out);
+  dispatch(KernelId::kPlaneDistance, n, n * 32)
+      .plane_distance(x, y, z, n, ox, oy, oz, nx, ny, nz, out);
 }
 
 void magnitude3(const double* u, std::int64_t su, const double* v,
                 std::int64_t sv, const double* w, std::int64_t sw,
                 std::int64_t n, double* dst) {
-  const Variant var = active_variant();
-  bump(KernelId::kMagnitude3, var, n, n * 32);
-  table_for(var)->magnitude3(u, su, v, sv, w, sw, n, dst);
+  dispatch(KernelId::kMagnitude3, n, n * 32)
+      .magnitude3(u, su, v, sv, w, sw, n, dst);
 }
 
 void oscillator_accumulate(double* dst, std::int64_t n, double ox, double sx,
                            std::int64_t i0, double dyy, double dzz, double cx,
                            double denom, double tf) {
-  const Variant v = active_variant();
-  bump(KernelId::kOscillator, v, n, n * 16);
-  table_for(v)->oscillator_accumulate(dst, n, ox, sx, i0, dyy, dzz, cx,
-                                      denom, tf);
-}
-
-void vexp(const double* x, double* out, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kVexp, v, n, n * 16);
-  table_for(v)->vexp(x, out, n);
-}
-
-void vsin(const double* x, double* out, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kVsin, v, n, n * 16);
-  table_for(v)->vsin(x, out, n);
-}
-
-void vcos(const double* x, double* out, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kVcos, v, n, n * 16);
-  table_for(v)->vcos(x, out, n);
+  dispatch(KernelId::kOscillator, n, n * 16)
+      .oscillator_accumulate(dst, n, ox, sx, i0, dyy, dzz, cx, denom, tf);
 }
 
 void quantize_encode(const double* x, std::int64_t n, double lo,
                      double inv_step, std::uint16_t* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kQuantizeEncode, v, n, n * 10);
-  table_for(v)->quantize_encode(x, n, lo, inv_step, out);
+  dispatch(KernelId::kQuantizeEncode, n, n * 10)
+      .quantize_encode(x, n, lo, inv_step, out);
 }
 
 void quantize_decode(const std::uint16_t* q, std::int64_t n, double lo,
                      double step, double* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kQuantizeDecode, v, n, n * 10);
-  table_for(v)->quantize_decode(q, n, lo, step, out);
+  dispatch(KernelId::kQuantizeDecode, n, n * 10)
+      .quantize_decode(q, n, lo, step, out);
 }
 
 void delta_encode(const double* x, const double* prev, std::int64_t n,
                   std::uint64_t* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kDeltaEncode, v, n, n * 24);
-  table_for(v)->delta_encode(x, prev, n, out);
+  dispatch(KernelId::kDeltaEncode, n, n * 24).delta_encode(x, prev, n, out);
 }
 
 void delta_decode(const std::uint64_t* delta, const double* prev,
                   std::int64_t n, double* out) {
-  const Variant v = active_variant();
-  bump(KernelId::kDeltaDecode, v, n, n * 24);
-  table_for(v)->delta_decode(delta, prev, n, out);
+  dispatch(KernelId::kDeltaDecode, n, n * 24)
+      .delta_decode(delta, prev, n, out);
 }
 
 std::int64_t subsample_gather(const double* x, std::int64_t n_tuples,
                               int components, int stride, double* out) {
-  const Variant v = active_variant();
   const std::int64_t kept =
       stride > 0 ? (n_tuples + stride - 1) / stride : n_tuples;
-  bump(KernelId::kSubsampleGather, v, n_tuples * components,
-       (n_tuples + kept) * components * 8);
-  return table_for(v)->subsample_gather(x, n_tuples, components, stride, out);
+  return dispatch(KernelId::kSubsampleGather, n_tuples * components,
+                  (n_tuples + kept) * components * 8)
+      .subsample_gather(x, n_tuples, components, stride, out);
 }
 
 void subsample_expand(const double* kept, std::int64_t n_tuples,
                       int components, int stride, double* out) {
-  const Variant v = active_variant();
   const std::int64_t nk =
       stride > 0 ? (n_tuples + stride - 1) / stride : n_tuples;
-  bump(KernelId::kSubsampleExpand, v, n_tuples * components,
-       (n_tuples + nk) * components * 8);
-  table_for(v)->subsample_expand(kept, n_tuples, components, stride, out);
+  dispatch(KernelId::kSubsampleExpand, n_tuples * components,
+           (n_tuples + nk) * components * 8)
+      .subsample_expand(kept, n_tuples, components, stride, out);
 }
 
 }  // namespace insitu::kernels

@@ -17,14 +17,17 @@
 //     portable vector extensions (no intrinsics headers), plus scalar
 //     tails.
 //
-// The active variant is process-global: the INSITU_KERNELS environment
-// variable ("generic" | "batched" | "simd") sets the default, the CLIs'
-// `kernels=` option calls set_variant(), and nothing else may change it
-// mid-run. Dispatch is one relaxed atomic load + indirect call per
-// call. Call sites are not all chunk-sized: the oscillator field makes
-// one call per x-row per oscillator (rows of a few dozen points), so a
-// rank makes thousands of short calls per step and the per-call cost
-// counts — see the counters below.
+// The variant is chosen per run, never by process state: it rides on the
+// StatsSink a thread adopts through ScopedStatsSink (comm::Runtime::run
+// builds one per run from Runtime::Options::kernels, and every rank
+// thread, fiber carrier and TaskPool task adopts it). Code outside any
+// run picks a variant the same way, with a scoped sink of its own; with
+// no sink a thread dispatches default_variant(). A dispatch is one
+// thread-local read plus an indirect call. Call sites are not all
+// chunk-sized: the oscillator field makes one call per x-row per
+// oscillator (rows of a few dozen points), so a rank makes thousands of
+// short calls per step and the per-call cost counts — see the counters
+// below.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
 //   * Kernels never touch the virtual clock; call sites charge the same
@@ -35,13 +38,10 @@
 //     the same per-element operation order in every variant and the
 //     library is built with -ffp-contract=off, so their results are
 //     bit-identical across variants.
-//   * Reductions (sum / sum-of-squares, dot) reassociate across lanes;
-//     only min/max/count are exact. Callers that need cross-variant
-//     bit-identity must not depend on the sum bits (they may depend on
-//     values derived from exact-integer sums).
-//   * vexp/vsin/vcos are this library's own polynomial approximations —
-//     bit-identical across variants, within the documented ULP bounds of
-//     libm (kVexpMaxUlp etc.) over the documented domains.
+//   * The sum / sum-of-squares of reduce_moments reassociate across
+//     lanes; only its min/max/count are exact. Callers that need
+//     cross-variant bit-identity must not depend on the sum bits (they
+//     may depend on values derived from exact-integer sums).
 //
 // Layering: kernels depends on nothing but the C++ standard library; it
 // sits below pal so every layer (miniapp, analysis, render, comm) can
@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string_view>
 
 namespace insitu::kernels {
@@ -70,16 +71,17 @@ enum class Variant : int {
 
 inline constexpr int kNumVariants = 3;
 
-/// The variant all primitives dispatch to. First use reads
-/// INSITU_KERNELS from the environment; unset/unknown values select
-/// kSimd (the fastest variant is the default, the reference is opt-in).
+/// The variant a run dispatches to unless it asks for another: kSimd
+/// where the CPU has AVX2+FMA (or the build does not need them), else
+/// kBatched. The fastest variant is the default; the reference is opt-in.
+Variant default_variant();
+
+/// The variant the calling thread dispatches to: its innermost
+/// ScopedStatsSink's sink's, or default_variant() without one.
 Variant active_variant();
 
-void set_variant(Variant v);
-
-/// Parse "generic" / "scalar" / "batched" / "simd" and install it.
-/// Returns false (and changes nothing) for unknown names.
-bool set_variant(std::string_view name);
+/// "generic" | "batched" | "simd"; nullopt for anything else.
+std::optional<Variant> parse_variant(std::string_view name);
 
 std::string_view variant_name(Variant v);
 
@@ -89,10 +91,7 @@ enum class KernelId : int {
   kReduceMoments = 0,
   kHistogramBin,
   kAccumulateI64,
-  kDot,
   kFmaAccumulate,
-  kSaxpy,
-  kLerp,
   kColormap,
   kDepthComposite,
   kRasterSpan,
@@ -100,9 +99,6 @@ enum class KernelId : int {
   kPlaneDistance,
   kMagnitude3,
   kOscillator,
-  kVexp,
-  kVsin,
-  kVcos,
   kQuantizeEncode,
   kQuantizeDecode,
   kDeltaEncode,
@@ -140,27 +136,36 @@ class StatsSink;
 /// null.
 StatsSink* current_stats_sink();
 
-/// Collects the kernel dispatches of every thread that adopts it through
-/// a ScopedStatsSink: the counts a thread makes while its innermost
-/// scope names this sink are added here when that scope ends or is
-/// nested. comm::Runtime::run owns one per run; exec::TaskPool tasks
-/// charge the sink their submitter had, so parallel_for helper chunks
-/// and fiber carriers count toward the caller's run.
+/// Selects the variant of, and collects the kernel dispatches of, every
+/// thread that adopts it through a ScopedStatsSink: while a thread's
+/// innermost scope names this sink, its calls dispatch to variant() and
+/// their counts are added here when that scope ends or is nested.
+/// comm::Runtime::run owns one per run; exec::TaskPool tasks adopt the
+/// sink their submitter had, so parallel_for helper chunks and fiber
+/// carriers run and count as the caller's run.
 class StatsSink {
  public:
+  /// kSimd downgrades to kBatched on CPUs without AVX2+FMA.
+  explicit StatsSink(Variant variant = default_variant());
+
+  Variant variant() const { return variant_; }
+
   /// Counts flushed so far (exact once every adopting scope has ended).
   StatsSnapshot snapshot() const;
 
  private:
   friend class ScopedStatsSink;
 
+  const Variant variant_;
   mutable std::mutex mutex_;
   StatsSnapshot total_{};
 };
 
-/// Charges the calling thread's dispatches to `sink` (null: to no sink)
-/// from construction until destruction. Scopes nest: an inner scope
-/// flushes the outer one's counts first and resumes it when it ends.
+/// Dispatches the calling thread's kernels to `sink`'s variant and
+/// charges them to `sink` from construction until destruction (null: to
+/// no sink, at default_variant()). Scopes nest: an inner scope flushes
+/// the outer one's counts first, and the outer scope's variant and
+/// counting resume when it ends.
 /// Thread-confined: never hold one across a fiber park, since the fiber
 /// may resume on another thread.
 class ScopedStatsSink {
@@ -214,24 +219,13 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
 void accumulate_i64(std::int64_t* dst, const std::int64_t* src,
                     std::int64_t n);
 
-/// Sum of a[i] * b[i]; reassociates across variants.
-double dot(const double* a, const double* b, std::int64_t n);
-
 /// dst[i] += a[i] * b[i] (lag/correlation products). Per-element
 /// independent: bit-identical across variants.
 void fma_accumulate(double* dst, const double* a, const double* b,
                     std::int64_t n);
 
-/// dst[i] += a * x[i]. Bit-identical across variants.
-void saxpy(double* dst, double a, const double* x, std::int64_t n);
-
-/// dst[i] = a[i] + (b[i] - a[i]) * t — linear edge interpolation / blend.
-/// Bit-identical across variants.
-void lerp(double* dst, const double* a, const double* b, double t,
-          std::int64_t n);
-
-/// One-element lerp with the exact kernel expression; for call sites
-/// (contour edge cuts) that interpolate single values.
+/// a + (b - a) * t — linear edge interpolation, one element at a time
+/// (contour edge cuts).
 inline double lerp1(double a, double b, double t) { return a + (b - a) * t; }
 
 /// Piecewise-linear colormap lookup over `ncontrols >= 2` RGBA8 control
@@ -304,24 +298,6 @@ void magnitude3(const double* u, std::int64_t su, const double* v,
 void oscillator_accumulate(double* dst, std::int64_t n, double ox, double sx,
                            std::int64_t i0, double dyy, double dzz, double cx,
                            double denom, double tf);
-
-// ---- vectorized transcendentals ----
-//
-// The library's own polynomial approximations: bit-identical across
-// variants (same operation order everywhere, -ffp-contract=off), with
-// accuracy measured against libm. Bounds checked by tests/kernels_test
-// and bench/ablation_kernels on every run.
-
-/// Max ULP error of vexp vs std::exp over [-708, 708] (inputs outside
-/// are clamped; NaN propagates).
-inline constexpr double kVexpMaxUlp = 4.0;
-/// Max ULP error of vsin/vcos vs std::sin/std::cos over |x| <= 2^20.
-inline constexpr double kVsinMaxUlp = 4.0;
-inline constexpr double kVcosMaxUlp = 4.0;
-
-void vexp(const double* x, double* out, std::int64_t n);
-void vsin(const double* x, double* out, std::int64_t n);
-void vcos(const double* x, double* out, std::int64_t n);
 
 // ---- data-reduction primitives (io::ReductionPipeline) ----
 //

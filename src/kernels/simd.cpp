@@ -13,7 +13,6 @@
 
 #include "kernels/detail.hpp"
 #include "kernels/table.hpp"
-#include "kernels/vmath.hpp"
 
 namespace insitu::kernels::detail {
 
@@ -47,19 +46,6 @@ inline d4 dfrom(i64x4 x) { return load<d4>(&x); }
 inline d4 sel(i64x4 m, d4 t, d4 f) {
   return dfrom((m & dbits(t)) | (~m & dbits(f)));
 }
-
-struct VecOps {
-  using D = d4;
-  using I = i64x4;
-  static D bcast(double v) { return bcast4(v); }
-  static I ibcast(std::int64_t v) { return i64x4{v, v, v, v}; }
-  static I bits(D x) { return dbits(x); }
-  static D from_bits(I x) { return dfrom(x); }
-  static I cmp_gt(D a, D b) { return a > b; }
-  static I cmp_lt(D a, D b) { return a < b; }
-  static I cmp_ieq(I a, I b) { return a == b; }
-  static D sel(I m, D t, D f) { return detail::sel(m, t, f); }
-};
 
 Moments s_reduce_moments(const double* x, std::int64_t n,
                          const std::uint8_t* skip) {
@@ -154,17 +140,6 @@ void s_accumulate_i64(std::int64_t* dst, const std::int64_t* src,
   for (; i < n; ++i) dst[i] += src[i];
 }
 
-double s_dot(const double* a, const double* b, std::int64_t n) {
-  d4 vsum = bcast4(0.0);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vsum += load<d4>(a + i) * load<d4>(b + i);
-  }
-  double total = ((vsum[0] + vsum[1]) + vsum[2]) + vsum[3];
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 void s_fma_accumulate(double* dst, const double* a, const double* b,
                       std::int64_t n) {
   std::int64_t i = 0;
@@ -173,26 +148,6 @@ void s_fma_accumulate(double* dst, const double* a, const double* b,
               load<d4>(dst + i) + load<d4>(a + i) * load<d4>(b + i));
   }
   for (; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
-void s_saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  const d4 va = bcast4(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<d4>(dst + i, load<d4>(dst + i) + va * load<d4>(x + i));
-  }
-  for (; i < n; ++i) dst[i] += a * x[i];
-}
-
-void s_lerp(double* dst, const double* a, const double* b, double t,
-            std::int64_t n) {
-  const d4 vt = bcast4(t);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const d4 va = load<d4>(a + i);
-    store<d4>(dst + i, va + (load<d4>(b + i) - va) * vt);
-  }
-  for (; i < n; ++i) dst[i] = a[i] + (b[i] - a[i]) * t;
 }
 
 void s_colormap_apply(const double* s, std::int64_t n, double lo, double hi,
@@ -382,30 +337,6 @@ void s_oscillator_accumulate(double* dst, std::int64_t n, double ox,
   }
 }
 
-void s_vexp(const double* x, double* out, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<d4>(out + i, exp_core<VecOps>(load<d4>(x + i)));
-  }
-  for (; i < n; ++i) out[i] = exp_core<ScalarOps>(x[i]);
-}
-
-void s_vsin(const double* x, double* out, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<d4>(out + i, sin_core<VecOps>(load<d4>(x + i)));
-  }
-  for (; i < n; ++i) out[i] = sin_core<ScalarOps>(x[i]);
-}
-
-void s_vcos(const double* x, double* out, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<d4>(out + i, cos_core<VecOps>(load<d4>(x + i)));
-  }
-  for (; i < n; ++i) out[i] = cos_core<ScalarOps>(x[i]);
-}
-
 typedef std::uint16_t u16x4 __attribute__((vector_size(8)));
 
 void s_quantize_encode(const double* x, std::int64_t n, double lo,
@@ -498,14 +429,12 @@ void s_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kSimdTable = {
-    s_reduce_moments, s_histogram_bin, s_accumulate_i64,
-    s_dot,            s_fma_accumulate, s_saxpy,
-    s_lerp,           s_colormap_apply, s_depth_composite,
-    s_raster_span,    s_masked_store_span, s_plane_distance,
-    s_magnitude3,     s_oscillator_accumulate, s_vexp,
-    s_vsin,           s_vcos,           s_quantize_encode,
-    s_quantize_decode, s_delta_encode,  s_delta_decode,
-    s_subsample_gather, s_subsample_expand,
+    s_reduce_moments,    s_histogram_bin,     s_accumulate_i64,
+    s_fma_accumulate,    s_colormap_apply,    s_depth_composite,
+    s_raster_span,       s_masked_store_span, s_plane_distance,
+    s_magnitude3,        s_oscillator_accumulate,
+    s_quantize_encode,   s_quantize_decode,   s_delta_encode,
+    s_delta_decode,      s_subsample_gather,  s_subsample_expand,
 };
 
 }  // namespace insitu::kernels::detail

@@ -16,11 +16,8 @@ struct KernelTable {
   void (*histogram_bin)(const double*, std::int64_t, const std::uint8_t*,
                         double, double, int, std::int64_t*);
   void (*accumulate_i64)(std::int64_t*, const std::int64_t*, std::int64_t);
-  double (*dot)(const double*, const double*, std::int64_t);
   void (*fma_accumulate)(double*, const double*, const double*,
                          std::int64_t);
-  void (*saxpy)(double*, double, const double*, std::int64_t);
-  void (*lerp)(double*, const double*, const double*, double, std::int64_t);
   void (*colormap_apply)(const double*, std::int64_t, double, double,
                          const std::uint8_t*, int, std::uint8_t*);
   void (*depth_composite)(std::uint8_t*, float*, const std::uint8_t*,
@@ -39,9 +36,6 @@ struct KernelTable {
   void (*oscillator_accumulate)(double*, std::int64_t, double, double,
                                 std::int64_t, double, double, double,
                                 double, double);
-  void (*vexp)(const double*, double*, std::int64_t);
-  void (*vsin)(const double*, double*, std::int64_t);
-  void (*vcos)(const double*, double*, std::int64_t);
   void (*quantize_encode)(const double*, std::int64_t, double, double,
                           std::uint16_t*);
   void (*quantize_decode)(const std::uint16_t*, std::int64_t, double, double,

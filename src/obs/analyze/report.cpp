@@ -263,8 +263,8 @@ std::string render_kernel_table(const MetricsTable& metrics) {
                    TablePrinter::num(row.bytes / kMiB, 3)});
   }
   table.add_note("per-run deltas from kernels::stats_snapshot(); variants "
-                 "are bit-identical for integer kernels and ULP-bounded "
-                 "for transcendentals (docs/PERFORMANCE.md)");
+                 "are bit-identical except the reassociated sums of "
+                 "reduce_moments (docs/PERFORMANCE.md)");
   return table.to_string();
 }
 

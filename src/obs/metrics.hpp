@@ -130,8 +130,9 @@ struct MetricSample {
 /// Snapshot of a whole registry, sorted by key.
 using MetricsSnapshot = std::vector<MetricSample>;
 
-/// Estimated value at quantile q in [0, 1] from the bucket counts
-/// (geometric interpolation inside the hit bucket, clamped to [min, max]).
+/// Estimated value at quantile q in [0, 1] from the bucket counts (linear
+/// interpolation between the hit bucket's power-of-two bounds, clamped
+/// to [min, max]).
 double histogram_quantile(const MetricSample& sample, double q);
 
 /// Merge `src` into `dst` by key: counters and histogram stats add,

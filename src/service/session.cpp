@@ -114,6 +114,7 @@ StatusOr<SessionResult> run_session_pipeline(const SessionSpec& spec,
   options.seed = spec.seed;
   options.sched.backend = context.sched;
   options.sched.workers = context.sched_workers;
+  options.kernels = context.kernels;
   options.observe.trace = context.trace;
   options.observe.telemetry = context.telemetry;
   options.tenant.label = context.tenant_label;

@@ -83,6 +83,8 @@ struct SessionRunContext {
   comm::SchedBackend sched = comm::SchedBackend::kThreads;
   /// mn only: carrier workers per session (small: sessions are many).
   int sched_workers = 2;
+  /// Kernel dispatch variant of the session's run.
+  kernels::Variant kernels = kernels::default_variant();
   /// Buffer every span (bench baselines); off inside the service.
   bool trace = false;
   /// Live telemetry hub to register the session's ranks with (optional).

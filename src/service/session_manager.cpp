@@ -299,6 +299,7 @@ void SessionManager::run_session(SessionId id) {
     context.pool = session.degraded ? &tenant.degraded_pool : &tenant.pool;
     context.sched = options_.sched;
     context.sched_workers = options_.sched_workers;
+    context.kernels = options_.kernels;
     context.telemetry = hub_;
   }
 

@@ -91,6 +91,8 @@ struct ServiceOptions {
   /// mn only: carrier workers per session. Deliberately small — the
   /// service multiplies it by concurrent sessions.
   int sched_workers = 2;
+  /// Kernel dispatch variant of every session's run.
+  kernels::Variant kernels = kernels::default_variant();
   /// Tenant quota when a spec does not set quota_mb; 0 = unlimited.
   std::size_t default_quota_bytes = 0;
 };

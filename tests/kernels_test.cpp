@@ -1,9 +1,8 @@
 // Golden tests for the kernels:: dispatch variants: every variant of
 // every primitive against the generic scalar reference, across empty /
 // odd-length / denormal / NaN / infinity inputs. Kernels documented
-// bit-identical must match exactly; reductions get relative tolerance;
-// the transcendentals must stay both bit-identical across variants and
-// within their documented ULP bounds against libm.
+// bit-identical must match exactly; the reassociated sums of
+// reduce_moments get a relative tolerance.
 
 #include "kernels/kernels.hpp"
 
@@ -19,16 +18,15 @@
 namespace insitu::kernels {
 namespace {
 
-/// Installs a variant for one test scope and restores the previous one.
+/// Dispatches the calling thread's kernels to `v` for one test scope,
+/// through a sink of its own; the enclosing variant resumes afterwards.
 class ScopedVariant {
  public:
-  explicit ScopedVariant(Variant v) : saved_(active_variant()) {
-    set_variant(v);
-  }
-  ~ScopedVariant() { set_variant(saved_); }
+  explicit ScopedVariant(Variant v) : sink_(v), scope_(&sink_) {}
 
  private:
-  Variant saved_;
+  StatsSink sink_;
+  ScopedStatsSink scope_;
 };
 
 /// Byte equality that accepts empty ranges: an empty vector's data() may
@@ -70,58 +68,41 @@ std::vector<std::uint8_t> make_skip(std::int64_t n, std::uint32_t seed) {
   return s;
 }
 
-double ulp_diff(double a, double b) {
-  if (a == b) return 0.0;
-  if (std::isnan(a) && std::isnan(b)) return 0.0;
-  if (std::isnan(a) || std::isnan(b)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  std::int64_t ia, ib;
-  std::memcpy(&ia, &a, sizeof ia);
-  std::memcpy(&ib, &b, sizeof ib);
-  // Map to a monotonic integer line so the difference counts
-  // representable doubles between a and b.
-  if (ia < 0) ia = std::numeric_limits<std::int64_t>::min() - ia;
-  if (ib < 0) ib = std::numeric_limits<std::int64_t>::min() - ib;
-  return std::abs(static_cast<double>(ia - ib));
-}
-
 TEST(KernelsDispatch, VariantNamesRoundTrip) {
   for (const Variant v : kAllVariants) {
-    EXPECT_TRUE(set_variant(variant_name(v)));
-    EXPECT_EQ(active_variant(), v);
+    EXPECT_EQ(parse_variant(variant_name(v)), v);
   }
-  EXPECT_FALSE(set_variant("avx1024"));
-  EXPECT_TRUE(set_variant("scalar"));  // alias
-  EXPECT_EQ(active_variant(), Variant::kGeneric);
-  set_variant(Variant::kSimd);
+  EXPECT_EQ(parse_variant("avx1024"), std::nullopt);
+  EXPECT_EQ(parse_variant("scalar"), std::nullopt);
+  EXPECT_EQ(parse_variant(""), std::nullopt);
+  EXPECT_EQ(parse_variant("SIMD"), std::nullopt);
+}
+
+const KernelStats& accumulate_stats(const StatsSnapshot& snap, Variant v) {
+  return snap.s[static_cast<int>(KernelId::kAccumulateI64)]
+               [static_cast<int>(v)];
 }
 
 TEST(KernelsDispatch, StatsCountCallsElementsBytes) {
   ScopedVariant scope(Variant::kSimd);
+  const Variant v = active_variant();  // kBatched on cores without AVX2
+  std::vector<std::int64_t> dst(100, 0), src(100, 1);
   const StatsSnapshot before = stats_snapshot();
-  std::vector<double> a(100, 1.0), b(100, 2.0);
-  (void)dot(a.data(), b.data(), 100);
+  accumulate_i64(dst.data(), src.data(), 100);
   const StatsSnapshot after = stats_snapshot();
-  const auto& d0 = before.s[static_cast<int>(KernelId::kDot)]
-                           [static_cast<int>(Variant::kSimd)];
-  const auto& d1 = after.s[static_cast<int>(KernelId::kDot)]
-                          [static_cast<int>(Variant::kSimd)];
+  const KernelStats& d0 = accumulate_stats(before, v);
+  const KernelStats& d1 = accumulate_stats(after, v);
   EXPECT_EQ(d1.calls - d0.calls, 1u);
   EXPECT_EQ(d1.elements - d0.elements, 100u);
-  EXPECT_EQ(d1.bytes - d0.bytes, 1600u);
-}
-
-const KernelStats& dot_stats(const StatsSnapshot& snap, Variant v) {
-  return snap.s[static_cast<int>(KernelId::kDot)][static_cast<int>(v)];
+  EXPECT_EQ(d1.bytes - d0.bytes, 2400u);
 }
 
 // Two waves of 8 threads: the second wave leases the blocks the first
 // returned on exit. Per-thread blocks must neither lose nor double count
-// a call, and a reused block keeps counting from where it was.
+// a call, and a reused block keeps counting from where it was. Each
+// thread dispatches through a scoped sink of its own variant.
 TEST(KernelsDispatch, StatsExactUnderConcurrencyAndBlockReuse) {
-  ScopedVariant scope(Variant::kSimd);
-  const Variant v = active_variant();  // kBatched on cores without AVX2
+  const Variant v = StatsSink(Variant::kSimd).variant();
   constexpr int kThreads = 8;
   constexpr int kCalls = 20000;
   constexpr std::int64_t kLen = 3;
@@ -130,54 +111,74 @@ TEST(KernelsDispatch, StatsExactUnderConcurrencyAndBlockReuse) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([] {
-        const std::vector<double> a(kLen, 1.0), b(kLen, 2.0);
-        for (int i = 0; i < kCalls; ++i) (void)dot(a.data(), b.data(), kLen);
+        ScopedVariant scope(Variant::kSimd);
+        std::vector<std::int64_t> dst(kLen, 0);
+        const std::vector<std::int64_t> src(kLen, 1);
+        for (int i = 0; i < kCalls; ++i) {
+          accumulate_i64(dst.data(), src.data(), kLen);
+        }
       });
     }
     for (auto& t : threads) t.join();
   }
   const StatsSnapshot after = stats_snapshot();
-  const KernelStats& d0 = dot_stats(before, v);
-  const KernelStats& d1 = dot_stats(after, v);
+  const KernelStats& d0 = accumulate_stats(before, v);
+  const KernelStats& d1 = accumulate_stats(after, v);
   const std::uint64_t calls = 2ull * kThreads * kCalls;
   EXPECT_EQ(d1.calls - d0.calls, calls);
   EXPECT_EQ(d1.elements - d0.elements, calls * kLen);
-  EXPECT_EQ(d1.bytes - d0.bytes, calls * kLen * 16);
+  EXPECT_EQ(d1.bytes - d0.bytes, calls * kLen * 24);
 }
 
-// A nested scope takes only the calls made while it is innermost; the
-// outer sink gets the calls before and after it.
+// A nested scope takes only the calls made while it is innermost and
+// dispatches them to its own variant; the outer sink gets the calls
+// before and after it, at the outer variant. A null sink counts nowhere
+// and dispatches the default variant.
 TEST(KernelsDispatch, NestedSinksSplitTheCalls) {
-  ScopedVariant scope(Variant::kSimd);
-  const Variant v = active_variant();
-  const std::vector<double> a(5, 1.0), b(5, 2.0);
-  const auto dots = [&](int n) {
-    for (int i = 0; i < n; ++i) (void)dot(a.data(), b.data(), 5);
+  std::vector<std::int64_t> dst(5, 0);
+  const std::vector<std::int64_t> src(5, 1);
+  const auto adds = [&](int n) {
+    for (int i = 0; i < n; ++i) accumulate_i64(dst.data(), src.data(), 5);
   };
-  StatsSink outer;
-  StatsSink inner;
+  StatsSink outer(Variant::kGeneric);
+  StatsSink inner(Variant::kBatched);
   EXPECT_EQ(current_stats_sink(), nullptr);
+  EXPECT_EQ(active_variant(), default_variant());
   {
     ScopedStatsSink charge_outer(&outer);
-    dots(3);
+    EXPECT_EQ(active_variant(), Variant::kGeneric);
+    adds(3);
     {
       ScopedStatsSink charge_inner(&inner);
       EXPECT_EQ(current_stats_sink(), &inner);
-      dots(5);
+      EXPECT_EQ(active_variant(), Variant::kBatched);
+      adds(5);
       {
         ScopedStatsSink charge_none(nullptr);
-        dots(100);
+        EXPECT_EQ(active_variant(), default_variant());
+        adds(100);
       }
-      dots(2);
+      EXPECT_EQ(active_variant(), Variant::kBatched);
+      adds(2);
     }
     EXPECT_EQ(current_stats_sink(), &outer);
-    dots(4);
+    EXPECT_EQ(active_variant(), Variant::kGeneric);
+    adds(4);
   }
   EXPECT_EQ(current_stats_sink(), nullptr);
-  dots(9);
-  EXPECT_EQ(dot_stats(outer.snapshot(), v).calls, 7u);
-  EXPECT_EQ(dot_stats(inner.snapshot(), v).calls, 7u);
-  EXPECT_EQ(dot_stats(inner.snapshot(), v).elements, 35u);
+  EXPECT_EQ(active_variant(), default_variant());
+  adds(9);
+  // Each sink saw only its own variant's calls.
+  for (const Variant v : kAllVariants) {
+    EXPECT_EQ(accumulate_stats(outer.snapshot(), v).calls,
+              v == Variant::kGeneric ? 7u : 0u)
+        << variant_name(v);
+    EXPECT_EQ(accumulate_stats(inner.snapshot(), v).calls,
+              v == Variant::kBatched ? 7u : 0u)
+        << variant_name(v);
+  }
+  EXPECT_EQ(accumulate_stats(inner.snapshot(), Variant::kBatched).elements,
+            35u);
 }
 
 TEST(KernelsGolden, ReduceMoments) {
@@ -272,8 +273,8 @@ TEST(KernelsGolden, AccumulateI64BitIdentical) {
 }
 
 TEST(KernelsGolden, ElementwiseBitIdentical) {
-  // fma_accumulate / saxpy / lerp / plane_distance / magnitude3 are
-  // per-element independent with a fixed operation order: every variant
+  // fma_accumulate / plane_distance / magnitude3 are per-element
+  // independent with a fixed operation order: every variant
   // must produce the same bits, specials included.
   for (const std::int64_t n : kSizes) {
     const std::vector<double> a = make_values(n, 31, /*specials=*/true);
@@ -281,15 +282,11 @@ TEST(KernelsGolden, ElementwiseBitIdentical) {
     const std::vector<double> c = make_values(n, 33, /*specials=*/false);
 
     std::vector<double> ref_fma(static_cast<std::size_t>(n), 1.0);
-    std::vector<double> ref_saxpy(static_cast<std::size_t>(n), 1.0);
-    std::vector<double> ref_lerp(static_cast<std::size_t>(n), 0.0);
     std::vector<double> ref_plane(static_cast<std::size_t>(n), 0.0);
     std::vector<double> ref_mag(static_cast<std::size_t>(n), 0.0);
     {
       ScopedVariant scope(Variant::kGeneric);
       fma_accumulate(ref_fma.data(), a.data(), b.data(), n);
-      saxpy(ref_saxpy.data(), 1.5, a.data(), n);
-      lerp(ref_lerp.data(), a.data(), b.data(), 0.25, n);
       plane_distance(a.data(), b.data(), c.data(), n, 0.5, -0.5, 2.0, 0.1,
                      0.2, 0.3, ref_plane.data());
       magnitude3(a.data(), 1, b.data(), 1, c.data(), 1, n, ref_mag.data());
@@ -297,25 +294,15 @@ TEST(KernelsGolden, ElementwiseBitIdentical) {
     for (const Variant v : kAllVariants) {
       ScopedVariant scope(v);
       std::vector<double> fma(static_cast<std::size_t>(n), 1.0);
-      std::vector<double> sx(static_cast<std::size_t>(n), 1.0);
-      std::vector<double> lp(static_cast<std::size_t>(n), 0.0);
       std::vector<double> pl(static_cast<std::size_t>(n), 0.0);
       std::vector<double> mg(static_cast<std::size_t>(n), 0.0);
       fma_accumulate(fma.data(), a.data(), b.data(), n);
-      saxpy(sx.data(), 1.5, a.data(), n);
-      lerp(lp.data(), a.data(), b.data(), 0.25, n);
       plane_distance(a.data(), b.data(), c.data(), n, 0.5, -0.5, 2.0, 0.1,
                      0.2, 0.3, pl.data());
       magnitude3(a.data(), 1, b.data(), 1, c.data(), 1, n, mg.data());
       EXPECT_TRUE(same_bytes(fma.data(), ref_fma.data(),
                                static_cast<std::size_t>(n) * 8))
           << "fma " << variant_name(v) << " n=" << n;
-      EXPECT_TRUE(same_bytes(sx.data(), ref_saxpy.data(),
-                               static_cast<std::size_t>(n) * 8))
-          << "saxpy " << variant_name(v) << " n=" << n;
-      EXPECT_TRUE(same_bytes(lp.data(), ref_lerp.data(),
-                               static_cast<std::size_t>(n) * 8))
-          << "lerp " << variant_name(v) << " n=" << n;
       EXPECT_TRUE(same_bytes(pl.data(), ref_plane.data(),
                                static_cast<std::size_t>(n) * 8))
           << "plane " << variant_name(v) << " n=" << n;
@@ -346,21 +333,6 @@ TEST(KernelsGolden, Magnitude3Strided) {
     EXPECT_TRUE(same_bytes(got.data(), ref.data(),
                              static_cast<std::size_t>(n) * 8))
         << variant_name(v);
-  }
-}
-
-TEST(KernelsGolden, DotTolerance) {
-  for (const std::int64_t n : kSizes) {
-    const std::vector<double> a = make_values(n, 41, /*specials=*/false);
-    const std::vector<double> b = make_values(n, 42, /*specials=*/false);
-    ScopedVariant ref_scope(Variant::kGeneric);
-    const double ref = dot(a.data(), b.data(), n);
-    for (const Variant v : kAllVariants) {
-      ScopedVariant scope(v);
-      EXPECT_NEAR(dot(a.data(), b.data(), n), ref,
-                  std::abs(ref) * 1e-12 + 1e-12)
-          << variant_name(v) << " n=" << n;
-    }
   }
 }
 
@@ -511,85 +483,6 @@ TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
                                static_cast<std::size_t>(n) * 8))
           << variant_name(v) << " n=" << n;
     }
-  }
-}
-
-TEST(KernelsTranscendental, VexpUlpBoundAndCrossVariantBits) {
-  std::mt19937 rng(81);
-  std::uniform_real_distribution<double> uni(-708.0, 708.0);
-  std::vector<double> x(20001);
-  for (auto& v : x) v = uni(rng);
-  x[0] = 0.0;
-  x[1] = -0.0;
-  x[2] = 1.0;
-  x[3] = -708.0;
-  x[4] = 708.0;
-  x[5] = 1000.0;   // clamped
-  x[6] = -1000.0;  // clamped
-  x[7] = std::numeric_limits<double>::quiet_NaN();
-  x[8] = 5e-324;  // denormal input
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  std::vector<double> ref(x.size());
-  {
-    ScopedVariant scope(Variant::kGeneric);
-    vexp(x.data(), ref.data(), n);
-  }
-  double worst = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (std::isnan(x[i])) {
-      EXPECT_TRUE(std::isnan(ref[i]));
-      continue;
-    }
-    const double clamped = std::min(708.0, std::max(-708.0, x[i]));
-    worst = std::max(worst, ulp_diff(ref[i], std::exp(clamped)));
-  }
-  EXPECT_LE(worst, kVexpMaxUlp) << "vexp worst-case ULP vs libm";
-  for (const Variant v : kAllVariants) {
-    ScopedVariant scope(v);
-    std::vector<double> got(x.size());
-    vexp(x.data(), got.data(), n);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (std::isnan(ref[i])) {
-        EXPECT_TRUE(std::isnan(got[i])) << variant_name(v) << " i=" << i;
-        continue;
-      }
-      EXPECT_EQ(got[i], ref[i]) << variant_name(v) << " x=" << x[i];
-    }
-  }
-}
-
-TEST(KernelsTranscendental, VsinVcosUlpBoundAndCrossVariantBits) {
-  std::mt19937 rng(91);
-  std::uniform_real_distribution<double> uni(-1048576.0, 1048576.0);
-  std::vector<double> x(20001);
-  for (auto& v : x) v = uni(rng);
-  x[0] = 0.0;
-  x[1] = 1.5707963267948966;  // ~pi/2
-  x[2] = 3.141592653589793;
-  x[3] = -0.75;
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  std::vector<double> ref_s(x.size()), ref_c(x.size());
-  {
-    ScopedVariant scope(Variant::kGeneric);
-    vsin(x.data(), ref_s.data(), n);
-    vcos(x.data(), ref_c.data(), n);
-  }
-  double worst_s = 0.0, worst_c = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    worst_s = std::max(worst_s, ulp_diff(ref_s[i], std::sin(x[i])));
-    worst_c = std::max(worst_c, ulp_diff(ref_c[i], std::cos(x[i])));
-  }
-  EXPECT_LE(worst_s, kVsinMaxUlp) << "vsin worst-case ULP vs libm";
-  EXPECT_LE(worst_c, kVcosMaxUlp) << "vcos worst-case ULP vs libm";
-  for (const Variant v : kAllVariants) {
-    ScopedVariant scope(v);
-    std::vector<double> s(x.size()), c(x.size());
-    vsin(x.data(), s.data(), n);
-    vcos(x.data(), c.data(), n);
-    EXPECT_TRUE(same_bytes(s.data(), ref_s.data(), x.size() * 8))
-        << "vsin " << variant_name(v);
-    EXPECT_TRUE(same_bytes(c.data(), ref_c.data(), x.size() * 8))
-        << "vcos " << variant_name(v);
   }
 }
 

@@ -223,6 +223,11 @@ TEST(Histogram, QuantilesLandInTheRightBucket) {
   const double p50 = histogram_quantile(snap[0], 0.5);
   EXPECT_GE(p50, 256.0);
   EXPECT_LE(p50, 512.0);
+  // Inside the hit bucket the estimate is linear between its bounds: the
+  // 500th of 1000 samples is the 244th of the 256 in (256, 512], so
+  // p50 = 256 + (512 - 256) * 244 / 256 = 500 exactly (a geometric
+  // interpolation would give 256 * 2^(244/256) ~ 495.7).
+  EXPECT_DOUBLE_EQ(p50, 500.0);
   const double p99 = histogram_quantile(snap[0], 0.99);
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1000.0);

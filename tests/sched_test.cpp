@@ -247,21 +247,25 @@ TEST(SchedTest, SchedulerCountersPublishedUnderMn) {
   }
 }
 
-// Two runs at once, one per backend, each making a known number of
-// kernel calls: each report counts exactly its own calls (rank threads,
-// carriers, and parallel_for helper chunks on the shared pool), and the
-// process-wide counters grow by the sum of the two.
+// Two runs at once, one per backend and each with its own kernel
+// variant, each making a known number of kernel calls: each report
+// counts exactly its own calls (rank threads, carriers, and parallel_for
+// helper chunks on the shared pool), all of them under its own variant
+// only, and the process-wide counters grow by the sum of the two.
 TEST(SchedTest, ConcurrentRunsCountOnlyTheirOwnKernelCalls) {
-  const std::string variant(kernels::variant_name(kernels::active_variant()));
-  const std::string dot_calls =
-      "kernels.calls{kernel=dot,variant=" + variant + "}";
-  const std::string dot_elements =
-      "kernels.elements{kernel=dot,variant=" + variant + "}";
+  constexpr kernels::Variant kThreadsVariant = kernels::Variant::kGeneric;
+  constexpr kernels::Variant kMnVariant = kernels::Variant::kBatched;
+  const auto series = [](const char* field, kernels::Variant v) {
+    return std::string("kernels.") + field +
+           "{kernel=accumulate_i64,variant=" +
+           std::string(kernels::variant_name(v)) + "}";
+  };
   constexpr std::int64_t kLen = 8;
-  const std::vector<double> a(kLen, 1.0), b(kLen, 2.0);
-  const auto dots = [&](int count) {
+  const std::vector<std::int64_t> src(kLen, 1);
+  const auto adds = [&](int count) {
+    std::vector<std::int64_t> dst(kLen, 0);
     for (int i = 0; i < count; ++i) {
-      (void)kernels::dot(a.data(), b.data(), kLen);
+      kernels::accumulate_i64(dst.data(), src.data(), kLen);
     }
   };
 
@@ -285,12 +289,13 @@ TEST(SchedTest, ConcurrentRunsCountOnlyTheirOwnKernelCalls) {
   std::thread threads_run([&] {
     Runtime::Options options;
     options.sched.backend = SchedBackend::kThreads;
+    options.kernels = kThreadsVariant;
     start.arrive_and_wait();
     threads_report = Runtime::run(kThreadRanks, options, [&](Communicator&) {
-      dots(kThreadDirect);
+      adds(kThreadDirect);
       const std::thread::id rank_thread = std::this_thread::get_id();
       exec::parallel_for(0, kChunks, 1, [&](std::int64_t, std::int64_t) {
-        dots(1);
+        adds(1);
         if (std::this_thread::get_id() != rank_thread) ++helper_chunks;
         // Keep the rank thread busy so the helpers take chunks too.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -298,11 +303,13 @@ TEST(SchedTest, ConcurrentRunsCountOnlyTheirOwnKernelCalls) {
     });
   });
   std::thread mn_run([&] {
+    Runtime::Options options = mn_options(2);
+    options.kernels = kMnVariant;
     start.arrive_and_wait();
     mn_report =
-        Runtime::run(kFiberRanks, mn_options(2), [&](Communicator& comm) {
+        Runtime::run(kFiberRanks, options, [&](Communicator& comm) {
           for (int round = 0; round < kRounds; ++round) {
-            dots(kPerRound);
+            adds(kPerRound);
             comm.barrier();
           }
         });
@@ -315,10 +322,24 @@ TEST(SchedTest, ConcurrentRunsCountOnlyTheirOwnKernelCalls) {
   EXPECT_GT(helper_chunks.load(), 0);
   const double threads_calls = kThreadRanks * (kThreadDirect + kChunks);
   const double mn_calls = kFiberRanks * kRounds * kPerRound;
-  EXPECT_EQ(metric_value(threads_report, dot_calls), threads_calls);
-  EXPECT_EQ(metric_value(mn_report, dot_calls), mn_calls);
-  EXPECT_EQ(metric_value(threads_report, dot_elements), threads_calls * kLen);
-  EXPECT_EQ(metric_value(mn_report, dot_elements), mn_calls * kLen);
+  EXPECT_EQ(metric_value(threads_report, series("calls", kThreadsVariant)),
+            threads_calls);
+  EXPECT_EQ(metric_value(mn_report, series("calls", kMnVariant)), mn_calls);
+  EXPECT_EQ(metric_value(threads_report, series("elements", kThreadsVariant)),
+            threads_calls * kLen);
+  EXPECT_EQ(metric_value(mn_report, series("elements", kMnVariant)),
+            mn_calls * kLen);
+  // No call of either run dispatched to the other run's variant.
+  for (const auto& [report, variant] :
+       {std::pair{&threads_report, kThreadsVariant},
+        std::pair{&mn_report, kMnVariant}}) {
+    const std::string own =
+        "variant=" + std::string(kernels::variant_name(variant)) + "}";
+    for (const obs::MetricSample& sample : report->metrics) {
+      if (sample.key.rfind("kernels.", 0) != 0) continue;
+      EXPECT_NE(sample.key.find(own), std::string::npos) << sample.key;
+    }
+  }
 
   // Every (kernel, variant) series of the two reports adds up to the
   // process delta, and nothing else ran in between.
